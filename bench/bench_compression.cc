@@ -167,8 +167,8 @@ ArmResult RunArm(size_t rows) {
   return arm;
 }
 
-/// BenchJson carries only the fixed db2/accel/row-path schema, so this
-/// bench writes its own file: the CI gate reads the top-level
+/// BenchJson carries a per-query db2/accel schema, so this bench writes
+/// its own file: the CI gate reads the top-level
 /// memory_ratio and scan_speedup (taken from the largest arm).
 void WriteJson(const std::vector<ArmResult>& arms) {
   const ArmResult& head = arms.back();

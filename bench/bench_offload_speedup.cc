@@ -64,25 +64,21 @@ void PrintTable() {
     SeedOrders(system, rows, /*accelerate=*/true);
     SeedCustomers(system, 1000, /*accelerate=*/true);
     std::printf("rows = %zu\n", rows);
-    std::printf("  %-22s %12s %12s %12s %9s %9s\n", "query", "db2 ms",
-                "accel ms", "row-path ms", "vs db2", "vs row");
+    std::printf("  %-22s %12s %12s %9s\n", "query", "db2 ms", "accel ms",
+                "vs db2");
     for (const QueryDef& q : kQueries) {
       int reps = rows > 100000 ? 3 : 5;
       double db2 = TimeQuery(system, q.sql,
                              federation::AccelerationMode::kNone, reps);
-      // The accelerator paths are orders of magnitude faster than DB2;
-      // more reps keep the batch-vs-row ratio from jittering with the host.
+      // The accelerator is orders of magnitude faster than DB2; more reps
+      // keep its timing from jittering with the host.
       int accel_reps = rows > 100000 ? 10 : 15;
       double accel = TimeQuery(
           system, q.sql, federation::AccelerationMode::kEligible, accel_reps);
-      SetBatchPath(system, false);
-      double row_path = TimeQuery(
-          system, q.sql, federation::AccelerationMode::kEligible, accel_reps);
-      SetBatchPath(system, true);
-      std::printf("  %-22s %12.3f %12.3f %12.3f %8.2fx %8.2fx\n", q.name, db2,
-                  accel, row_path, db2 / accel, row_path / accel);
+      std::printf("  %-22s %12.3f %12.3f %8.2fx\n", q.name, db2, accel,
+                  db2 / accel);
       json.Add(std::string(q.name) + " @" + std::to_string(rows), rows, db2,
-               accel, row_path);
+               accel);
     }
     std::printf("\n");
   }

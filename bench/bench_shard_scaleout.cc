@@ -8,11 +8,15 @@
 // replication flushes plus a GROOM thread stay live throughout, exactly
 // like the concurrent_stress_test scenario. A final phase kills and
 // recovers individual shards of the 4-shard system under ENABLE WITH
-// FAILBACK and counts user-visible errors (must be zero).
+// FAILBACK and counts user-visible errors (must be zero). The star-join
+// arm times star aggregates (fact DISTRIBUTE BY (id), broadcast
+// dimensions) at 1 vs 4 shards, with the scatter strategy the 4-shard
+// coordinator chose.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -34,8 +38,44 @@ struct ShardPoint {
   double speedup_vs_1shard;  // pruned mix, filled in after the sweep
 };
 
+constexpr size_t kStarFactRows = 200000;
+constexpr int kStarReps = 10;
+/// ROADMAP's scale-out target for star aggregates at 4 shards.
+constexpr double kStarTarget4Shards = 1.5;
+
+struct StarQuery {
+  const char* name;
+  const char* sql;
+};
+
+const StarQuery kStarQueries[] = {
+    {"S1 revenue by quarter",
+     "SELECT d.quarter, SUM(f.revenue) FROM fact_sales f "
+     "JOIN dim_date d ON f.dkey = d.dkey GROUP BY d.quarter"},
+    {"S2 category mix",
+     "SELECT p.category, COUNT(*), SUM(f.revenue) FROM fact_sales f "
+     "JOIN dim_product p ON f.pkey = p.pkey GROUP BY p.category"},
+    {"S3 two-dim drilldown",
+     "SELECT d.month, p.category, SUM(f.qty) FROM fact_sales f "
+     "JOIN dim_date d ON f.dkey = d.dkey "
+     "JOIN dim_product p ON f.pkey = p.pkey "
+     "WHERE d.quarter = 1 GROUP BY d.month, p.category"},
+};
+
+struct StarPoint {
+  const char* query = nullptr;
+  double ms_1shard = 0;
+  double ms_4shard = 0;
+  std::string strategy_4shard;
+};
+
+struct StarArm {
+  std::vector<StarPoint> points;
+  double speedup_4_vs_1 = 0;  // geomean over the queries
+};
+
 void WriteJson(const std::vector<ShardPoint>& points,
-               uint64_t shard_kill_errors) {
+               uint64_t shard_kill_errors, const StarArm& star) {
   const char* dir = std::getenv("IDAA_BENCH_JSON_DIR");
   std::string path =
       (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
@@ -50,8 +90,24 @@ void WriteJson(const std::vector<ShardPoint>& points,
                "{\n  \"experiment\": \"shard_scaleout\",\n"
                "  \"rows\": %zu,\n"
                "  \"shard_kill_user_errors\": %llu,\n"
-               "  \"entries\": [\n",
-               kRows, static_cast<unsigned long long>(shard_kill_errors));
+               "  \"star_fact_rows\": %zu,\n"
+               "  \"star_speedup_4_vs_1\": %.2f,\n"
+               "  \"star_target_4_vs_1\": %.2f,\n"
+               "  \"star_entries\": [\n",
+               kRows, static_cast<unsigned long long>(shard_kill_errors),
+               kStarFactRows, star.speedup_4_vs_1, kStarTarget4Shards);
+  for (size_t i = 0; i < star.points.size(); ++i) {
+    const StarPoint& e = star.points[i];
+    std::fprintf(f,
+                 "    {\"query\": \"%s\", \"ms_1shard\": %.3f, "
+                 "\"ms_4shard\": %.3f, \"speedup_4_vs_1\": %.2f, "
+                 "\"strategy_4shard\": \"%s\"}%s\n",
+                 e.query, e.ms_1shard, e.ms_4shard,
+                 e.ms_4shard > 0 ? e.ms_1shard / e.ms_4shard : 0.0,
+                 e.strategy_4shard.c_str(),
+                 i + 1 < star.points.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"entries\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const ShardPoint& e = points[i];
     std::fprintf(f,
@@ -174,6 +230,117 @@ ShardPoint MeasureShards(size_t shards) {
   return point;
 }
 
+/// Star schema with the fact table hash-distributed on `id` and broadcast
+/// dimensions, so every shard joins its fact partition locally.
+void SeedStarSharded(IdaaSystem& system) {
+  Must(system, "CREATE TABLE dim_date (dkey INT NOT NULL, month INT, "
+               "quarter INT)");
+  for (int d = 0; d < 365; d += 73) {
+    std::string insert = "INSERT INTO dim_date VALUES ";
+    for (int k = d; k < d + 73; ++k) {
+      if (k != d) insert += ", ";
+      insert += StrFormat("(%d, %d, %d)", k, k / 31 + 1, k / 92 + 1);
+    }
+    Must(system, insert);
+  }
+  Must(system, "CREATE TABLE dim_product (pkey INT NOT NULL, "
+               "category VARCHAR)");
+  static const char* kCategories[] = {"FOOD", "TECH", "HOME", "TOYS"};
+  std::string insert = "INSERT INTO dim_product VALUES ";
+  for (int p = 0; p < 200; ++p) {
+    if (p != 0) insert += ", ";
+    insert += StrFormat("(%d, '%s')", p, kCategories[p % 4]);
+  }
+  Must(system, insert);
+  Must(system, "CREATE TABLE fact_sales (id INT NOT NULL, dkey INT, "
+               "pkey INT, qty INT, revenue DOUBLE) DISTRIBUTE BY (id)");
+  Schema schema({{"ID", DataType::kInteger, false},
+                 {"DKEY", DataType::kInteger, true},
+                 {"PKEY", DataType::kInteger, true},
+                 {"QTY", DataType::kInteger, true},
+                 {"REVENUE", DataType::kDouble, true}});
+  Rng rng(2016);
+  loader::GeneratorSource source(schema, kStarFactRows, [&rng](size_t i) {
+    return Row{Value::Integer(static_cast<int64_t>(i)),
+               Value::Integer(rng.Uniform(0, 364)),
+               Value::Integer(rng.Uniform(0, 199)),
+               Value::Integer(rng.Uniform(1, 20)),
+               Value::Double(rng.UniformDouble(1, 500))};
+  });
+  loader::LoadOptions options;
+  options.batch_size = 8192;
+  if (!system.loader().Load("fact_sales", &source, options).ok()) {
+    std::cerr << "star seed failed\n";
+    std::exit(1);
+  }
+  for (const char* t : {"dim_date", "dim_product", "fact_sales"}) {
+    Must(system, std::string("CALL SYSPROC.ACCEL_ADD_TABLES('") + t + "')");
+  }
+}
+
+/// Best-of-three mean latency of `sql` over kStarReps runs.
+double TimeStarQuery(IdaaSystem& system, const char* sql) {
+  Must(system, sql);
+  double best = 0;
+  for (int group = 0; group < 3; ++group) {
+    WallTimer timer;
+    for (int i = 0; i < kStarReps; ++i) Must(system, sql);
+    double ms = timer.Millis() / kStarReps;
+    if (group == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+/// The shard_scatter strategy EXPLAIN ANALYZE reports for `sql`
+/// ("single" when the plan never scatters).
+std::string ScatterStrategy(IdaaSystem& system, const char* sql) {
+  auto rs = system.Query(std::string("EXPLAIN ANALYZE ") + sql);
+  if (!rs.ok()) return "error";
+  for (const Row& row : rs->rows()) {
+    for (const Value& v : row) {
+      if (!v.is_varchar()) continue;
+      const std::string& text = v.AsVarchar();
+      size_t pos = text.find("strategy=");
+      if (pos == std::string::npos) continue;
+      pos += 9;
+      return text.substr(pos, text.find(' ', pos) - pos);
+    }
+  }
+  return "single";
+}
+
+StarArm MeasureStarArm() {
+  StarArm arm;
+  for (const StarQuery& q : kStarQueries) {
+    StarPoint point;
+    point.query = q.name;
+    arm.points.push_back(point);
+  }
+  for (size_t shards : {1, 4}) {
+    SystemOptions options;
+    options.accelerator_shards = shards;
+    IdaaSystem system(options);
+    SeedStarSharded(system);
+    system.SetAccelerationMode(federation::AccelerationMode::kAll);
+    for (size_t q = 0; q < std::size(kStarQueries); ++q) {
+      const double ms = TimeStarQuery(system, kStarQueries[q].sql);
+      if (shards == 1) {
+        arm.points[q].ms_1shard = ms;
+      } else {
+        arm.points[q].ms_4shard = ms;
+        arm.points[q].strategy_4shard =
+            ScatterStrategy(system, kStarQueries[q].sql);
+      }
+    }
+  }
+  double log_sum = 0;
+  for (const StarPoint& p : arm.points) {
+    log_sum += std::log(p.ms_1shard / p.ms_4shard);
+  }
+  arm.speedup_4_vs_1 = std::exp(log_sum / arm.points.size());
+  return arm;
+}
+
 /// Kill/recover shards of a 4-shard system while an ENABLE WITH FAILBACK
 /// reader runs the scan-aggregate mix; returns user-visible errors (the
 /// shard design promises zero: a dead shard fails back per-shard).
@@ -239,11 +406,24 @@ void PrintTable() {
                 point.speedup_vs_1shard);
   }
 
+  StarArm star = MeasureStarArm();
+  std::printf("\nstar-join arm (%zu fact rows, DISTRIBUTE BY (id)):\n",
+              kStarFactRows);
+  std::printf("  %-22s %10s %10s %8s  %s\n", "query", "1-shard ms",
+              "4-shard ms", "speedup", "4-shard strategy");
+  for (const StarPoint& p : star.points) {
+    std::printf("  %-22s %10.3f %10.3f %7.2fx  %s\n", p.query, p.ms_1shard,
+                p.ms_4shard, p.ms_1shard / p.ms_4shard,
+                p.strategy_4shard.c_str());
+  }
+  std::printf("  geomean 4-vs-1 speedup %.2fx (target %.1fx)\n",
+              star.speedup_4_vs_1, kStarTarget4Shards);
+
   uint64_t kill_errors = ShardKillPhase();
   std::printf("\nshard-kill phase (4 shards, failback readers): "
               "%llu user-visible errors\n",
               static_cast<unsigned long long>(kill_errors));
-  WriteJson(points, kill_errors);
+  WriteJson(points, kill_errors, star);
 }
 
 // Micro: a single pruned point-aggregate on a 4-shard system, no

@@ -105,23 +105,19 @@ void PrintTable() {
     IdaaSystem system;
     SeedStarSchema(system, rows);
     std::printf("fact rows = %zu\n", rows);
-    std::printf("  %-24s %12s %12s %12s %9s %9s\n", "query", "db2 ms",
-                "accel ms", "row-path ms", "vs db2", "vs row");
+    std::printf("  %-24s %12s %12s %9s\n", "query", "db2 ms", "accel ms",
+                "vs db2");
     for (const auto& q : kQueries) {
       double db2 =
           TimeQuery(system, q.sql, federation::AccelerationMode::kNone, 3);
-      // The accelerator paths are sub-millisecond at these scales; more
-      // reps keep the batch-vs-row ratio from jittering with the host.
+      // The accelerator is sub-millisecond at these scales; more reps keep
+      // its timing from jittering with the host.
       double accel = TimeQuery(system, q.sql,
                                federation::AccelerationMode::kEligible, 15);
-      SetBatchPath(system, false);
-      double row_path = TimeQuery(
-          system, q.sql, federation::AccelerationMode::kEligible, 15);
-      SetBatchPath(system, true);
-      std::printf("  %-24s %12.3f %12.3f %12.3f %8.2fx %8.2fx\n", q.name, db2,
-                  accel, row_path, db2 / accel, row_path / accel);
+      std::printf("  %-24s %12.3f %12.3f %8.2fx\n", q.name, db2, accel,
+                  db2 / accel);
       json.Add(std::string(q.name) + " @" + std::to_string(rows), rows, db2,
-               accel, row_path);
+               accel);
     }
     std::printf("\n");
   }

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -115,26 +117,20 @@ inline void PrintHeader(const std::string& experiment,
   std::cout << "\n=== " << experiment << " ===\n" << claim << "\n\n";
 }
 
-/// Toggle the accelerator's vectorized batch path (all attached
-/// accelerators) — lets a bench time the row-at-a-time fallback on the
-/// same seeded system.
-inline void SetBatchPath(IdaaSystem& system, bool enabled) {
-  for (size_t i = 0; i < system.num_accelerators(); ++i) {
-    system.accelerator(i).SetBatchPathEnabled(enabled);
-  }
-}
-
 /// Accumulates per-query timings and writes `BENCH_<name>.json` — the
 /// machine-readable perf trajectory tracked across PRs (CI uploads it as
-/// an artifact). `accel_row_ms` is the accelerator's row-at-a-time
-/// fallback, so batch_speedup isolates the vectorized engine's win.
+/// an artifact). `extra` appends bench-specific numeric fields to the
+/// entry (e.g. a serial baseline next to the parallel timing).
 class BenchJson {
  public:
+  using Extra = std::vector<std::pair<std::string, double>>;
+
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
 
   void Add(const std::string& query, size_t table_rows, double db2_ms,
-           double accel_ms, double accel_row_ms) {
-    entries_.push_back({query, table_rows, db2_ms, accel_ms, accel_row_ms});
+           double accel_ms, Extra extra = {}) {
+    entries_.push_back(
+        {query, table_rows, db2_ms, accel_ms, std::move(extra)});
   }
 
   /// Write BENCH_<name>.json into $IDAA_BENCH_JSON_DIR (default: cwd).
@@ -157,21 +153,23 @@ class BenchJson {
           e.accel_ms > 0 ? e.table_rows / (e.accel_ms / 1000.0) : 0.0;
       // Sub-0.1ms accelerator timings are dominated by per-statement fixed
       // cost (parse + route + snapshot), not scan throughput: zone-map
-      // pruning can finish a "scan" in microseconds, making ratio metrics
-      // (batch_speedup, speedup_vs_db2) noise. Label them so consumers —
-      // including the CI perf gate — treat the ratios as non-significant.
+      // pruning can finish a "scan" in microseconds, making the
+      // speedup_vs_db2 ratio noise. Label them so consumers — including
+      // the CI perf gate — treat the ratio as non-significant.
       bool fixed_cost_dominated = e.accel_ms > 0 && e.accel_ms < 0.1;
       std::fprintf(
           f,
           "    {\"query\": \"%s\", \"rows\": %zu, \"db2_ms\": %.3f, "
-          "\"accel_ms\": %.3f, \"accel_row_path_ms\": %.3f, "
-          "\"accel_rows_per_sec\": %.0f, \"speedup_vs_db2\": %.2f, "
-          "\"batch_speedup\": %.2f, \"fixed_cost_dominated\": %s}%s\n",
-          e.query.c_str(), e.table_rows, e.db2_ms, e.accel_ms, e.accel_row_ms,
-          accel_rows_per_sec, e.accel_ms > 0 ? e.db2_ms / e.accel_ms : 0.0,
-          e.accel_ms > 0 ? e.accel_row_ms / e.accel_ms : 0.0,
-          fixed_cost_dominated ? "true" : "false",
-          i + 1 < entries_.size() ? "," : "");
+          "\"accel_ms\": %.3f, \"accel_rows_per_sec\": %.0f, "
+          "\"speedup_vs_db2\": %.2f, ",
+          e.query.c_str(), e.table_rows, e.db2_ms, e.accel_ms,
+          accel_rows_per_sec, e.accel_ms > 0 ? e.db2_ms / e.accel_ms : 0.0);
+      for (const auto& [key, value] : e.extra) {
+        std::fprintf(f, "\"%s\": %.3f, ", key.c_str(), value);
+      }
+      std::fprintf(f, "\"fixed_cost_dominated\": %s}%s\n",
+                   fixed_cost_dominated ? "true" : "false",
+                   i + 1 < entries_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -184,7 +182,7 @@ class BenchJson {
     size_t table_rows;
     double db2_ms;
     double accel_ms;
-    double accel_row_ms;
+    Extra extra;
   };
   std::string name_;
   std::vector<Entry> entries_;

@@ -1,7 +1,6 @@
 #include "accel/accel_executor.h"
 
 #include <atomic>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -14,11 +13,16 @@
 namespace idaa::accel {
 
 /// Plans whose aggregation can run at the slices (SPU-side): one table,
-/// no residual predicate, plain-column group keys, plain-column (or
-/// COUNT(*)) non-DISTINCT aggregate arguments.
+/// no residual predicate (neither a WHERE left over after pushdown nor a
+/// scan predicate the morsel scan must re-check per row), plain-column
+/// group keys, plain-column (or COUNT(*)) non-DISTINCT aggregate
+/// arguments.
 bool EligibleForSliceAggregation(const sql::BoundSelect& plan) {
   if (plan.tables.size() != 1 || !plan.has_aggregation) return false;
   if (plan.where) return false;
+  if (!IsExactScanPredicate(plan.tables[0].scan_predicate.get())) {
+    return false;
+  }
   for (const auto& key : plan.group_keys) {
     if (key->kind != sql::BoundExprKind::kColumn) return false;
   }
@@ -31,206 +35,23 @@ bool EligibleForSliceAggregation(const sql::BoundSelect& plan) {
 
 namespace {
 
-/// Partial aggregation state for one slice.
-using SlicePartial = AggPartial;
-
-/// Aggregate one slice without materializing rows (the columnar fast path).
-Status AggregateSlice(const ColumnTable& table, size_t slice_index,
-                      const sql::BoundSelect& plan, TxnId reader, Csn snapshot,
-                      const TransactionManager& tm, MetricsRegistry* metrics,
-                      SlicePartial* out, SliceScanStats* stats) {
-  std::unordered_map<std::vector<uint64_t>, size_t, RawKeyHash> index;
-  std::vector<uint64_t> raw_key(plan.group_keys.size() * 2);
-
-  auto raw_of = [](const Column& col, size_t i, uint64_t* null_flag,
-                   uint64_t* bits) {
-    if (col.IsNull(i)) {
-      *null_flag = 1;
-      *bits = 0;
-      return;
-    }
-    *null_flag = 0;
-    switch (col.type()) {
-      case DataType::kDouble: {
-        double d = col.RawDouble(i);
-        uint64_t b;
-        std::memcpy(&b, &d, sizeof(b));
-        *bits = b;
-        break;
-      }
-      case DataType::kVarchar:
-        *bits = col.RawCode(i);
-        break;
-      default:
-        *bits = static_cast<uint64_t>(col.RawInt(i));
-    }
-  };
-
-  return table.VisitVisible(
-      slice_index, plan.tables[0].scan_predicate.get(), reader, snapshot, tm,
-      metrics,
-      [&](const std::vector<std::unique_ptr<Column>>& columns, size_t i) {
-        for (size_t k = 0; k < plan.group_keys.size(); ++k) {
-          const Column& col = *columns[plan.group_keys[k]->index];
-          raw_of(col, i, &raw_key[2 * k], &raw_key[2 * k + 1]);
-        }
-        auto it = index.find(raw_key);
-        size_t group;
-        if (it == index.end()) {
-          group = out->keys.size();
-          index.emplace(raw_key, group);
-          std::vector<Value> key_values;
-          key_values.reserve(plan.group_keys.size());
-          for (const auto& key : plan.group_keys) {
-            key_values.push_back(columns[key->index]->Get(i));
-          }
-          out->keys.push_back(std::move(key_values));
-          std::vector<sql::AggregateAccumulator> accs;
-          accs.reserve(plan.aggregates.size());
-          for (const auto& agg : plan.aggregates) accs.emplace_back(agg);
-          out->accumulators.push_back(std::move(accs));
-        } else {
-          group = it->second;
-        }
-        auto& accs = out->accumulators[group];
-        for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-          const auto& agg = plan.aggregates[a];
-          if (agg.func == sql::AggFunc::kCountStar) {
-            accs[a].AccumulateRow();
-          } else {
-            accs[a].Accumulate(columns[agg.arg->index]->Get(i));
-          }
-        }
-      },
-      stats);
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized batch execution: morsel-driven scans over raw column arrays
-// with selection vectors, bulk visibility, compiled predicates and late
-// materialization. Taken whenever the scan predicate converts exactly to
-// column ranges that compile against every slice; anything else falls back
-// to the row-at-a-time path below with identical results. The shared scan
-// plumbing (BatchScanPlan, worker sizing, span accounting) lives in
-// morsel_scan.h, also used by the batch join.
-// ---------------------------------------------------------------------------
-
-/// Morsel-driven gather: scan morsels pulled from a shared cursor, late-
-/// materializing only projected columns of surviving rows, concatenated in
-/// morsel (= slice) order. With `limit_cap`, stops pulling morsels once the
-/// processed prefix already holds that many rows; because the cursor is
-/// monotonic, every morsel pulled before the stop flag completes, so the
-/// processed set is a prefix and the first-N trim is deterministic.
-Result<std::vector<Row>> BatchGather(
-    const ColumnTable& table, const BatchScanPlan& bp, TxnId reader,
-    Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
-    MetricsRegistry* metrics, const std::vector<uint8_t>* projection,
-    std::optional<size_t> limit_cap, const BatchOptions& batch,
-    TraceContext tc) {
-  TraceSpan span(tc, "accel.batch_scan");
-  auto pin = table.PinForScan();
-  const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
-  const size_t width = table.schema().NumColumns();
-  const size_t num_workers = MorselWorkerCount(pool, morsels.size());
-
-  struct Worker {
-    TransactionManager::VisibilityChecker visibility;
-    std::vector<uint32_t> sel;
-    BatchScanStats stats;
-  };
-  std::vector<Worker> workers;
-  workers.reserve(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    workers.push_back(
-        Worker{TransactionManager::VisibilityChecker(&tm, reader, snapshot),
-               {},
-               {}});
-  }
-
-  std::vector<std::vector<Row>> morsel_rows(morsels.size());
-  std::mutex progress_mu;
-  std::vector<int64_t> done(morsels.size(), -1);
-  size_t prefix = 0;
-  size_t prefix_rows = 0;
-  std::atomic<bool> stop{false};
-
-  auto run = [&](size_t w, size_t mi) {
-    if (stop.load(std::memory_order_relaxed)) return;
-    Worker& wk = workers[w];
-    const Morsel& m = morsels[mi];
-    const BatchScanStats before = wk.stats;
-    TraceSpan morsel_span(span.context(), "accel.slice_scan");
-    table.ScanMorsel(
-        m, bp.ranges, &bp.per_slice[m.slice], wk.visibility, &wk.sel,
-        &wk.stats, [&](const ColumnBatch& b) {
-          // Cursors keep late materialization amortized-O(1) per element
-          // over encoded zones (sel is ascending).
-          std::vector<ColumnCursor> cursors;
-          cursors.reserve(width);
-          for (size_t c = 0; c < width; ++c) {
-            cursors.emplace_back(*(*b.columns)[c]);
-          }
-          std::vector<Row>& rows = morsel_rows[mi];
-          rows.reserve(b.sel_count);
-          for (size_t k = 0; k < b.sel_count; ++k) {
-            const size_t i = b.AbsoluteRow(k);
-            Row row(width);
-            for (size_t c = 0; c < width; ++c) {
-              if (projection == nullptr || (*projection)[c]) {
-                row[c] = cursors[c].Get(i);
-              }
-            }
-            rows.push_back(std::move(row));
-          }
-        });
-    RecordMorselSpan(morsel_span, m, before, wk.stats);
-    if (limit_cap.has_value()) {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      done[mi] = static_cast<int64_t>(morsel_rows[mi].size());
-      while (prefix < done.size() && done[prefix] >= 0) {
-        prefix_rows += static_cast<size_t>(done[prefix]);
-        ++prefix;
-      }
-      if (prefix_rows >= *limit_cap) {
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  if (pool != nullptr && morsels.size() > 1) {
-    pool->ParallelForDynamic(morsels.size(), num_workers, run);
-  } else {
-    for (size_t mi = 0; mi < morsels.size(); ++mi) run(0, mi);
-  }
-
-  BatchScanStats total;
-  for (const Worker& wk : workers) total.Merge(wk.stats);
-  AddScanMetrics(metrics, total);
-
-  std::vector<Row> out;
-  out.reserve(limit_cap.has_value()
-                  ? std::min(total.rows_selected, *limit_cap)
-                  : total.rows_selected);
-  for (auto& rows : morsel_rows) {
-    for (Row& row : rows) {
-      if (limit_cap.has_value() && out.size() >= *limit_cap) break;
-      out.push_back(std::move(row));
-    }
-  }
-  RecordBatchAttrs(span, total);
-  RecordEncodingAttrs(span, table);
-  span.Attr("rows", static_cast<uint64_t>(out.size()));
-  return out;
-}
-
-/// Morsel-driven GROUP BY / aggregation: each worker accumulates into its
-/// own raw-keyed partial (dictionary codes qualified by slice id when a
-/// group key is VARCHAR), merged afterwards — unfinalized — through the
-/// same raw merge as the row path.
-Result<AggPartial> BatchAggregate(
-    const sql::BoundSelect& plan, const ColumnTable& table,
-    const BatchScanPlan& bp, TxnId reader, Csn snapshot,
-    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
-    const BatchOptions& batch, TraceSpan& agg_span) {
+/// Morsel-driven GROUP BY / aggregation at the slices for an
+/// EligibleForSliceAggregation plan (so its scan needs no residual step):
+/// each worker accumulates into its own raw-keyed partial (dictionary
+/// codes qualified by slice id when a group key is VARCHAR). Returns the
+/// worker partials merged in worker order but NOT finalized — the
+/// single-instance path finalizes immediately, the sharded scatter path
+/// merges the per-shard partials first.
+Result<AggPartial> SliceAggregation(const sql::BoundSelect& plan,
+                                    const AccelTableResolver& resolver,
+                                    TxnId reader, Csn snapshot,
+                                    const TransactionManager& tm,
+                                    ThreadPool* pool, MetricsRegistry* metrics,
+                                    TraceContext tc,
+                                    const BatchOptions& batch) {
+  IDAA_ASSIGN_OR_RETURN(const ColumnTable* resolved, resolver(plan.tables[0]));
+  const ColumnTable& table = *resolved;
+  TraceSpan agg_span(tc, "accel.slice_aggregation");
   // How each aggregate consumes its argument: raw int64/double fast paths
   // for INTEGER/DOUBLE columns, counter-only for COUNT, and the boxed
   // Value path for types whose min/max must keep their logical type
@@ -267,6 +88,8 @@ Result<AggPartial> BatchAggregate(
   const size_t key_base = varchar_key ? 1 : 0;
 
   auto pin = table.PinForScan();
+  const BatchScanPlan bp =
+      PrepareBatchScan(table, plan.tables[0].scan_predicate.get());
   const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
   const size_t num_workers = MorselWorkerCount(pool, morsels.size());
 
@@ -275,7 +98,7 @@ Result<AggPartial> BatchAggregate(
     std::vector<uint32_t> sel;
     BatchScanStats stats;
     std::unordered_map<std::vector<uint64_t>, size_t, RawKeyHash> index;
-    SlicePartial partial;
+    AggPartial partial;
     std::vector<uint64_t> raw_key;
   };
   std::vector<Worker> workers;
@@ -457,7 +280,7 @@ Result<AggPartial> BatchAggregate(
   }
 
   BatchScanStats total;
-  std::vector<SlicePartial> partials;
+  std::vector<AggPartial> partials;
   partials.reserve(workers.size());
   for (Worker& wk : workers) {
     total.Merge(wk.stats);
@@ -469,333 +292,6 @@ Result<AggPartial> BatchAggregate(
   return MergeAggPartialsRaw(&partials);
 }
 
-// ---------------------------------------------------------------------------
-// Slice-side star join: small (dimension) tables are broadcast to the data
-// slices as hash tables and the big base table is probed during its scan —
-// the Netezza SPU-side join. Optionally the aggregation runs there too, so
-// only per-group partials reach the coordinator.
-// ---------------------------------------------------------------------------
-
-struct BroadcastDim {
-  size_t offset = 0;                       ///< combined-layout offset
-  std::vector<size_t> base_key_columns;    ///< probe key: base-local columns
-  std::vector<size_t> dim_key_columns;     ///< build key: dim-local columns
-  std::vector<Row> rows;                   ///< materialized dimension
-  std::unordered_map<std::vector<Value>, std::vector<size_t>, ValueKeyHash>
-      index;
-};
-
-/// Shape test for the slice-side join: inner equi joins whose keys all
-/// probe the base (first) table, no residual WHERE. Fills `dims` with key
-/// metadata (rows are loaded later).
-bool SliceJoinEligible(const sql::BoundSelect& plan,
-                       std::vector<BroadcastDim>* dims) {
-  if (plan.tables.size() < 2 || plan.where) return false;
-  size_t base_width = plan.tables[0].info->schema.NumColumns();
-  for (size_t t = 1; t < plan.tables.size(); ++t) {
-    const sql::BoundTable& bt = plan.tables[t];
-    if (bt.join_type != sql::JoinType::kInner || !bt.join_on) return false;
-    std::vector<exec::EquiKey> keys;
-    std::vector<const sql::BoundExpr*> residual;
-    exec::ExtractEquiKeys(*bt.join_on, bt.offset,
-                          bt.offset + bt.info->schema.NumColumns(), &keys,
-                          &residual);
-    if (keys.empty() || !residual.empty()) return false;
-    BroadcastDim dim;
-    dim.offset = bt.offset;
-    for (const exec::EquiKey& key : keys) {
-      if (key.left_index >= base_width) return false;  // chained join
-      dim.base_key_columns.push_back(key.left_index);
-      dim.dim_key_columns.push_back(key.right_index - bt.offset);
-    }
-    dims->push_back(std::move(dim));
-  }
-  return true;
-}
-
-/// Whether the post-join aggregation can also run at the slices.
-bool JoinAggregationAtSlices(const sql::BoundSelect& plan) {
-  if (!plan.has_aggregation) return false;
-  for (const auto& key : plan.group_keys) {
-    if (key->kind != sql::BoundExprKind::kColumn) return false;
-  }
-  for (const auto& agg : plan.aggregates) {
-    if (agg.distinct) return false;
-    if (agg.arg && agg.arg->kind != sql::BoundExprKind::kColumn) return false;
-  }
-  return true;
-}
-
-/// Execute the slice-side join (optionally + aggregation). Returns nullopt
-/// when ineligible or when the base scan predicate cannot run column-wise
-/// (caller falls back to the coordinator join).
-/// `shard_partial` (sharded scatter mode): when non-null and the
-/// aggregation runs at the slices, the slice partials are merged
-/// UNFINALIZED into *shard_partial, *partial_done is set, and the returned
-/// ResultSet stays nullopt — the sharded coordinator finalizes after
-/// merging all shards.
-Result<std::optional<ResultSet>> TrySliceJoin(
-    const sql::BoundSelect& plan, const AccelTableResolver& resolver,
-    TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
-    MetricsRegistry* metrics, TraceContext tc = {},
-    AggPartial* shard_partial = nullptr, bool* partial_done = nullptr) {
-  std::vector<BroadcastDim> dims;
-  if (!SliceJoinEligible(plan, &dims)) {
-    return std::optional<ResultSet>();
-  }
-
-  // Broadcast phase: materialize + index every dimension.
-  TraceSpan broadcast_span(tc, "accel.broadcast_dims");
-  size_t broadcast_rows = 0;
-  for (size_t t = 1; t < plan.tables.size(); ++t) {
-    const sql::BoundTable& bt = plan.tables[t];
-    IDAA_ASSIGN_OR_RETURN(const ColumnTable* table, resolver(bt));
-    IDAA_ASSIGN_OR_RETURN(
-        dims[t - 1].rows,
-        ParallelScan(*table, bt.scan_predicate.get(), reader, snapshot, tm,
-                     pool, metrics, nullptr, broadcast_span.context()));
-    BroadcastDim& dim = dims[t - 1];
-    broadcast_rows += dim.rows.size();
-    for (size_t r = 0; r < dim.rows.size(); ++r) {
-      std::vector<Value> key;
-      key.reserve(dim.dim_key_columns.size());
-      bool has_null = false;
-      for (size_t c : dim.dim_key_columns) {
-        if (dim.rows[r][c].is_null()) has_null = true;
-        key.push_back(dim.rows[r][c]);
-      }
-      if (has_null) continue;  // NULL never equi-joins
-      dim.index[std::move(key)].push_back(r);
-    }
-  }
-  broadcast_span.Attr("dimensions", static_cast<uint64_t>(dims.size()));
-  broadcast_span.Attr("rows", static_cast<uint64_t>(broadcast_rows));
-  broadcast_span.End();
-
-  IDAA_ASSIGN_OR_RETURN(const ColumnTable* base, resolver(plan.tables[0]));
-  const size_t base_width = plan.tables[0].info->schema.NumColumns();
-  size_t combined_width = base_width;
-  for (size_t t = 1; t < plan.tables.size(); ++t) {
-    combined_width += plan.tables[t].info->schema.NumColumns();
-  }
-  const bool aggregate_at_slices = JoinAggregationAtSlices(plan);
-  const size_t num_slices = base->num_slices();
-
-  std::vector<SlicePartial> partials(num_slices);
-  std::vector<std::vector<Row>> slice_rows(num_slices);
-  std::vector<Status> statuses(num_slices);
-
-  TraceSpan join_span(tc, "accel.slice_join");
-  join_span.Attr("aggregate_at_slices", aggregate_at_slices ? "true" : "false");
-
-  auto probe_slice = [&](size_t s) {
-    TraceSpan slice_span(join_span.context(), "accel.slice_scan");
-    SliceScanStats scan_stats;
-    std::unordered_map<std::vector<Value>, size_t, ValueKeyHash> group_index;
-    SlicePartial& partial = partials[s];
-    std::vector<const std::vector<size_t>*> matches(dims.size());
-
-    statuses[s] = base->VisitVisible(
-        s, plan.tables[0].scan_predicate.get(), reader, snapshot, tm, metrics,
-        [&](const std::vector<std::unique_ptr<Column>>& columns, size_t i) {
-          // Probe every dimension; inner join drops the row on any miss.
-          for (size_t d = 0; d < dims.size(); ++d) {
-            std::vector<Value> key;
-            key.reserve(dims[d].base_key_columns.size());
-            for (size_t c : dims[d].base_key_columns) {
-              if (columns[c]->IsNull(i)) return;
-              key.push_back(columns[c]->Get(i));
-            }
-            auto it = dims[d].index.find(key);
-            if (it == dims[d].index.end()) return;
-            matches[d] = &it->second;
-          }
-          // Cross product over the match lists (odometer).
-          std::vector<size_t> pick(dims.size(), 0);
-          while (true) {
-            // Value of combined-layout column `idx` for this combination.
-            auto value_at = [&](size_t idx) -> Value {
-              if (idx < base_width) return columns[idx]->Get(i);
-              for (size_t d = dims.size(); d-- > 0;) {
-                if (idx >= dims[d].offset) {
-                  const Row& row = dims[d].rows[(*matches[d])[pick[d]]];
-                  return row[idx - dims[d].offset];
-                }
-              }
-              return Value::Null();
-            };
-            if (aggregate_at_slices) {
-              std::vector<Value> group_key;
-              group_key.reserve(plan.group_keys.size());
-              for (const auto& key : plan.group_keys) {
-                group_key.push_back(value_at(key->index));
-              }
-              auto it = group_index.find(group_key);
-              size_t group;
-              if (it == group_index.end()) {
-                group = partial.keys.size();
-                group_index.emplace(group_key, group);
-                partial.keys.push_back(std::move(group_key));
-                std::vector<sql::AggregateAccumulator> accs;
-                accs.reserve(plan.aggregates.size());
-                for (const auto& agg : plan.aggregates) accs.emplace_back(agg);
-                partial.accumulators.push_back(std::move(accs));
-              } else {
-                group = it->second;
-              }
-              auto& accs = partial.accumulators[group];
-              for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-                const auto& agg = plan.aggregates[a];
-                if (agg.func == sql::AggFunc::kCountStar) {
-                  accs[a].AccumulateRow();
-                } else {
-                  accs[a].Accumulate(value_at(agg.arg->index));
-                }
-              }
-            } else {
-              Row combined(combined_width);
-              for (size_t c = 0; c < base_width; ++c) {
-                combined[c] = columns[c]->Get(i);
-              }
-              for (size_t d = 0; d < dims.size(); ++d) {
-                const Row& row = dims[d].rows[(*matches[d])[pick[d]]];
-                for (size_t c = 0; c < row.size(); ++c) {
-                  combined[dims[d].offset + c] = row[c];
-                }
-              }
-              slice_rows[s].push_back(std::move(combined));
-            }
-            // Advance the odometer.
-            size_t d = 0;
-            for (; d < dims.size(); ++d) {
-              if (++pick[d] < matches[d]->size()) break;
-              pick[d] = 0;
-            }
-            if (d == dims.size()) break;
-          }
-        },
-        &scan_stats);
-    slice_span.Attr("slice", static_cast<uint64_t>(s));
-    slice_span.Attr("rows_scanned",
-                    static_cast<uint64_t>(scan_stats.rows_scanned));
-    slice_span.Attr("zone_map_skipped",
-                    static_cast<uint64_t>(scan_stats.rows_skipped_zone_map));
-  };
-
-  if (pool != nullptr && num_slices > 1) {
-    pool->ParallelFor(num_slices, probe_slice);
-  } else {
-    for (size_t s = 0; s < num_slices; ++s) probe_slice(s);
-  }
-  join_span.End();
-  for (const Status& status : statuses) {
-    if (status.code() == StatusCode::kNotSupported) {
-      return std::optional<ResultSet>();  // fall back to coordinator join
-    }
-    if (!status.ok()) return status;
-  }
-
-  TraceSpan merge_span(tc, "accel.coordinator_merge");
-  if (aggregate_at_slices && shard_partial != nullptr) {
-    IDAA_ASSIGN_OR_RETURN(*shard_partial, MergeAggPartialsRaw(&partials));
-    if (partial_done != nullptr) *partial_done = true;
-    merge_span.Attr("groups",
-                    static_cast<uint64_t>(shard_partial->keys.size()));
-    return std::optional<ResultSet>();
-  }
-  if (aggregate_at_slices) {
-    IDAA_ASSIGN_OR_RETURN(std::vector<Row> post,
-                          MergeAggPartials(plan, &partials));
-    merge_span.Attr("groups", static_cast<uint64_t>(post.size()));
-    IDAA_ASSIGN_OR_RETURN(ResultSet out,
-                          exec::FinalizeSelect(plan, std::move(post)));
-    return std::optional<ResultSet>(std::move(out));
-  }
-  std::vector<Row> combined;
-  for (auto& rows : slice_rows) {
-    combined.insert(combined.end(), std::make_move_iterator(rows.begin()),
-                    std::make_move_iterator(rows.end()));
-  }
-  merge_span.Attr("rows", static_cast<uint64_t>(combined.size()));
-  IDAA_ASSIGN_OR_RETURN(ResultSet out,
-                        exec::FinishSelect(plan, std::move(combined)));
-  return std::optional<ResultSet>(std::move(out));
-}
-
-/// Run slice-parallel aggregation; returns one merged UNFINALIZED partial
-/// (slice/morsel partials merged in deterministic order) or nullopt when
-/// the plan is ineligible. Shared by the single-instance path (which
-/// finalizes immediately) and the sharded scatter path (which merges the
-/// per-shard partials first).
-Result<std::optional<AggPartial>> TrySliceAggregationRaw(
-    const sql::BoundSelect& plan, const ColumnTable& table, TxnId reader,
-    Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
-    MetricsRegistry* metrics, TraceContext tc = {},
-    const BatchOptions& batch = {}) {
-  if (!EligibleForSliceAggregation(plan)) {
-    return std::optional<AggPartial>();
-  }
-  TraceSpan agg_span(tc, "accel.slice_aggregation");
-  if (batch.enabled) {
-    BatchScanPlan bp;
-    if (PrepareBatchScan(table, plan.tables[0].scan_predicate.get(), &bp)) {
-      IDAA_ASSIGN_OR_RETURN(
-          AggPartial merged,
-          BatchAggregate(plan, table, bp, reader, snapshot, tm, pool, metrics,
-                         batch, agg_span));
-      agg_span.End();
-      return std::optional<AggPartial>(std::move(merged));
-    }
-  }
-  agg_span.Attr("batch_path", "false");
-  const size_t num_slices = table.num_slices();
-  std::vector<SlicePartial> partials(num_slices);
-  std::vector<Status> statuses(num_slices);
-  auto run_one = [&](size_t s) {
-    TraceSpan slice_span(agg_span.context(), "accel.slice_scan");
-    SliceScanStats stats;
-    statuses[s] = AggregateSlice(table, s, plan, reader, snapshot, tm, metrics,
-                                 &partials[s], &stats);
-    slice_span.Attr("slice", static_cast<uint64_t>(s));
-    slice_span.Attr("rows_scanned", static_cast<uint64_t>(stats.rows_scanned));
-    slice_span.Attr("zone_map_skipped",
-                    static_cast<uint64_t>(stats.rows_skipped_zone_map));
-    slice_span.Attr("groups", static_cast<uint64_t>(partials[s].keys.size()));
-  };
-  if (pool != nullptr && num_slices > 1) {
-    pool->ParallelFor(num_slices, run_one);
-  } else {
-    for (size_t s = 0; s < num_slices; ++s) run_one(s);
-  }
-  for (const Status& status : statuses) {
-    if (status.code() == StatusCode::kNotSupported) {
-      return std::optional<AggPartial>();  // fall back to row path
-    }
-    if (!status.ok()) return status;
-  }
-  agg_span.End();
-  IDAA_ASSIGN_OR_RETURN(AggPartial merged, MergeAggPartialsRaw(&partials));
-  return std::optional<AggPartial>(std::move(merged));
-}
-
-/// Run slice-parallel aggregation; returns post-aggregation rows
-/// [keys..., aggregate results...] or nullopt when the plan is ineligible.
-Result<std::optional<std::vector<Row>>> TrySliceAggregation(
-    const sql::BoundSelect& plan, const ColumnTable& table, TxnId reader,
-    Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
-    MetricsRegistry* metrics, TraceContext tc = {},
-    const BatchOptions& batch = {}) {
-  IDAA_ASSIGN_OR_RETURN(
-      auto merged, TrySliceAggregationRaw(plan, table, reader, snapshot, tm,
-                                          pool, metrics, tc, batch));
-  if (!merged.has_value()) return std::optional<std::vector<Row>>();
-  TraceSpan merge_span(tc, "accel.coordinator_merge");
-  IDAA_ASSIGN_OR_RETURN(std::vector<Row> post_rows,
-                        FinalizeAggPartial(plan, std::move(*merged)));
-  merge_span.Attr("groups", static_cast<uint64_t>(post_rows.size()));
-  return std::optional<std::vector<Row>>(std::move(post_rows));
-}
-
 }  // namespace
 
 Result<std::vector<Row>> ParallelScan(
@@ -804,39 +300,134 @@ Result<std::vector<Row>> ParallelScan(
     MetricsRegistry* metrics, const std::vector<uint8_t>* projection,
     TraceContext tc, const BatchOptions& batch,
     std::optional<size_t> limit_cap) {
-  if (batch.enabled) {
-    BatchScanPlan bp;
-    if (PrepareBatchScan(table, predicate, &bp)) {
-      return BatchGather(table, bp, reader, snapshot, tm, pool, metrics,
-                         projection, limit_cap, batch, tc);
+  TraceSpan span(tc, "accel.batch_scan");
+  auto pin = table.PinForScan();
+  const BatchScanPlan bp = PrepareBatchScan(table, predicate);
+  const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
+  const size_t width = table.schema().NumColumns();
+  const size_t num_workers = MorselWorkerCount(pool, morsels.size());
+
+  struct Worker {
+    TransactionManager::VisibilityChecker visibility;
+    std::vector<uint32_t> sel;
+    BatchScanStats stats;
+    uint64_t residual_rejected = 0;
+  };
+  std::vector<Worker> workers;
+  workers.reserve(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    workers.push_back(
+        Worker{TransactionManager::VisibilityChecker(&tm, reader, snapshot),
+               {},
+               {},
+               0});
+  }
+
+  std::vector<std::vector<Row>> morsel_rows(morsels.size());
+  std::vector<Status> morsel_status(morsels.size());
+  std::mutex progress_mu;
+  std::vector<int64_t> done(morsels.size(), -1);
+  size_t prefix = 0;
+  size_t prefix_rows = 0;
+  std::atomic<bool> stop{false};
+
+  auto run = [&](size_t w, size_t mi) {
+    if (stop.load(std::memory_order_relaxed)) return;
+    Worker& wk = workers[w];
+    const Morsel& m = morsels[mi];
+    const BatchScanStats before = wk.stats;
+    TraceSpan morsel_span(span.context(), "accel.slice_scan");
+    std::vector<Row>& rows = morsel_rows[mi];
+    table.ScanMorsel(
+        m, bp.ranges, &bp.per_slice[m.slice], wk.visibility, &wk.sel,
+        &wk.stats, [&](const ColumnBatch& b) {
+          // Cursors keep late materialization amortized-O(1) per element
+          // over encoded zones (sel is ascending).
+          std::vector<ColumnCursor> cursors;
+          cursors.reserve(width);
+          for (size_t c = 0; c < width; ++c) {
+            cursors.emplace_back(*(*b.columns)[c]);
+          }
+          rows.reserve(b.sel_count);
+          for (size_t k = 0; k < b.sel_count; ++k) {
+            const size_t i = b.AbsoluteRow(k);
+            Row row(width);
+            for (size_t c = 0; c < width; ++c) {
+              if (projection == nullptr || (*projection)[c]) {
+                row[c] = cursors[c].Get(i);
+              }
+            }
+            rows.push_back(std::move(row));
+          }
+        });
+    RecordMorselSpan(morsel_span, m, before, wk.stats);
+    // Residual step: the full predicate on the materialized rows, after
+    // ScanMorsel has released the data lock — arbitrary expression work
+    // must not stall writers.
+    if (bp.residual != nullptr) {
+      size_t kept = 0;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        Result<bool> pass = sql::EvalPredicate(*bp.residual, rows[r]);
+        if (!pass.ok()) {
+          morsel_status[mi] = pass.status();
+          break;
+        }
+        if (!*pass) continue;
+        if (kept != r) rows[kept] = std::move(rows[r]);
+        ++kept;
+      }
+      wk.residual_rejected += rows.size() - kept;
+      rows.resize(kept);
+    }
+    if (!morsel_status[mi].ok()) {
+      // Every morsel before this one was pulled earlier and completes, so
+      // the first failing morsel in morsel order is always processed.
+      stop.store(true, std::memory_order_relaxed);
+    } else if (limit_cap.has_value()) {
+      std::lock_guard<std::mutex> lock(progress_mu);
+      done[mi] = static_cast<int64_t>(rows.size());
+      while (prefix < done.size() && done[prefix] >= 0) {
+        prefix_rows += static_cast<size_t>(done[prefix]);
+        ++prefix;
+      }
+      if (prefix_rows >= *limit_cap) {
+        stop.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  if (pool != nullptr && morsels.size() > 1) {
+    pool->ParallelForDynamic(morsels.size(), num_workers, run);
+  } else {
+    for (size_t mi = 0; mi < morsels.size(); ++mi) run(0, mi);
+  }
+
+  BatchScanStats total;
+  uint64_t residual_rejected = 0;
+  for (const Worker& wk : workers) {
+    total.Merge(wk.stats);
+    residual_rejected += wk.residual_rejected;
+  }
+  AddScanMetrics(metrics, total);
+  RecordBatchAttrs(span, total);
+  RecordEncodingAttrs(span, table);
+  if (bp.residual != nullptr) {
+    span.Attr("residual", "true");
+    span.Attr("residual_rejected_rows", residual_rejected);
+  }
+
+  // Concatenate in morsel (= slice) order up to the cap. The rows and
+  // errors walked here all lie in the processed prefix, so both the
+  // first-N trim and the reported error are deterministic.
+  std::vector<Row> out;
+  for (size_t mi = 0; mi < morsels.size(); ++mi) {
+    if (limit_cap.has_value() && out.size() >= *limit_cap) break;
+    IDAA_RETURN_IF_ERROR(morsel_status[mi]);
+    for (Row& row : morsel_rows[mi]) {
+      if (limit_cap.has_value() && out.size() >= *limit_cap) break;
+      out.push_back(std::move(row));
     }
   }
-  const size_t num_slices = table.num_slices();
-  std::vector<Result<std::vector<Row>>> partials(
-      num_slices, Result<std::vector<Row>>(std::vector<Row>{}));
-  auto scan_one = [&](size_t s) {
-    TraceSpan slice_span(tc, "accel.slice_scan");
-    SliceScanStats stats;
-    partials[s] = table.ScanSlice(s, predicate, reader, snapshot, tm, metrics,
-                                  projection, &stats);
-    slice_span.Attr("batch_path", "false");
-    slice_span.Attr("slice", static_cast<uint64_t>(s));
-    slice_span.Attr("rows_scanned", static_cast<uint64_t>(stats.rows_scanned));
-    slice_span.Attr("zone_map_skipped",
-                    static_cast<uint64_t>(stats.rows_skipped_zone_map));
-  };
-  if (pool != nullptr && num_slices > 1) {
-    pool->ParallelFor(num_slices, scan_one);
-  } else {
-    for (size_t s = 0; s < num_slices; ++s) scan_one(s);
-  }
-  std::vector<Row> out;
-  for (auto& partial : partials) {
-    if (!partial.ok()) return partial.status();
-    auto& rows = partial.value();
-    out.insert(out.end(), std::make_move_iterator(rows.begin()),
-               std::make_move_iterator(rows.end()));
-  }
+  span.Attr("rows", static_cast<uint64_t>(out.size()));
   return out;
 }
 
@@ -848,28 +439,25 @@ Result<ResultSet> ExecuteAccelSelect(const sql::BoundSelect& plan,
                                      MetricsRegistry* metrics,
                                      TraceContext tc,
                                      const BatchOptions& batch) {
-  // Columnar fast paths. Single table: aggregation computed at the slices.
-  // Star joins: dimensions broadcast to the slices, probe during the scan.
-  if (EligibleForSliceAggregation(plan) && plan.tables.size() == 1) {
-    IDAA_ASSIGN_OR_RETURN(const ColumnTable* table, resolver(plan.tables[0]));
-    IDAA_ASSIGN_OR_RETURN(
-        auto post_rows, TrySliceAggregation(plan, *table, reader, snapshot, tm,
-                                            pool, metrics, tc, batch));
-    if (post_rows.has_value()) {
-      return exec::FinalizeSelect(plan, std::move(*post_rows));
-    }
+  // Single table: aggregation computed at the slices.
+  if (EligibleForSliceAggregation(plan)) {
+    IDAA_ASSIGN_OR_RETURN(AggPartial partial,
+                          SliceAggregation(plan, resolver, reader, snapshot,
+                                           tm, pool, metrics, tc, batch));
+    TraceSpan merge_span(tc, "accel.coordinator_merge");
+    IDAA_ASSIGN_OR_RETURN(std::vector<Row> post_rows,
+                          FinalizeAggPartial(plan, std::move(partial)));
+    merge_span.Attr("groups", static_cast<uint64_t>(post_rows.size()));
+    merge_span.End();
+    return exec::FinalizeSelect(plan, std::move(post_rows));
   }
   if (plan.tables.size() >= 2) {
-    // Vectorized hash join first (build over raw columns, morsel-parallel
-    // probe, dictionary-code keys, sideways zone pruning); the slice-side
-    // broadcast join and the coordinator JoinIterator remain as fallbacks.
+    // Vectorized hash join (build over raw columns, morsel-parallel probe,
+    // dictionary-code keys, sideways zone pruning); the coordinator
+    // JoinIterator below runs the shapes it declines.
     IDAA_ASSIGN_OR_RETURN(
-        auto batch_joined, TryBatchJoin(plan, resolver, reader, snapshot, tm,
-                                        pool, metrics, tc, batch));
-    if (batch_joined.has_value()) return std::move(*batch_joined);
-    IDAA_ASSIGN_OR_RETURN(
-        auto joined,
-        TrySliceJoin(plan, resolver, reader, snapshot, tm, pool, metrics, tc));
+        auto joined, TryBatchJoin(plan, resolver, reader, snapshot, tm, pool,
+                                  metrics, tc, batch));
     if (joined.has_value()) return std::move(*joined);
   }
 
@@ -885,7 +473,7 @@ Result<ResultSet> ExecuteAccelSelect(const sql::BoundSelect& plan,
                         limit_cap);
   };
   exec::ExecutorOptions options;
-  options.metrics = nullptr;  // slice scans account their own rows
+  options.metrics = nullptr;  // morsel scans account their own rows
   options.apply_scan_predicates = false;
   return exec::ExecuteBoundSelect(plan, source, options);
 }
@@ -894,23 +482,18 @@ Result<std::optional<AggPartial>> ExecuteAccelSelectPartial(
     const sql::BoundSelect& plan, const AccelTableResolver& resolver,
     TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
     MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch) {
-  if (EligibleForSliceAggregation(plan) && plan.tables.size() == 1) {
-    IDAA_ASSIGN_OR_RETURN(const ColumnTable* table, resolver(plan.tables[0]));
-    return TrySliceAggregationRaw(plan, *table, reader, snapshot, tm, pool,
-                                  metrics, tc, batch);
+  if (EligibleForSliceAggregation(plan)) {
+    IDAA_ASSIGN_OR_RETURN(AggPartial partial,
+                          SliceAggregation(plan, resolver, reader, snapshot,
+                                           tm, pool, metrics, tc, batch));
+    return std::optional<AggPartial>(std::move(partial));
   }
-  if (plan.tables.size() >= 2 && JoinAggregationAtSlices(plan)) {
-    // Broadcast-dimension join with aggregation at the slices: every shard
-    // holds full dimension copies, so the join builds locally and only the
-    // unfinalized group partials leave the shard.
-    AggPartial partial;
-    bool done = false;
-    IDAA_ASSIGN_OR_RETURN(
-        auto finished,
-        TrySliceJoin(plan, resolver, reader, snapshot, tm, pool, metrics, tc,
-                     &partial, &done));
-    (void)finished;  // nullopt by construction in partial mode
-    if (done) return std::optional<AggPartial>(std::move(partial));
+  if (plan.tables.size() >= 2) {
+    // Every shard holds full copies of the broadcast dimensions, so the
+    // batch join builds locally and only the unfinalized group partials
+    // of its aggregate-mode probe leave the shard.
+    return TryBatchJoinPartial(plan, resolver, reader, snapshot, tm, pool,
+                               metrics, tc, batch);
   }
   return std::optional<AggPartial>();
 }

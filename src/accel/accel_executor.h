@@ -14,24 +14,23 @@
 
 namespace idaa::accel {
 
-/// Runtime knobs for the vectorized batch path, resolved per statement
-/// from AcceleratorOptions (the enable flag is toggleable at runtime for
-/// differential testing).
+/// Per-statement knobs of the morsel-driven scans, resolved from
+/// AcceleratorOptions.
 struct BatchOptions {
-  bool enabled = true;
   size_t morsel_size = kDefaultMorselSize;
 };
 
 /// Scan all slices of a table in parallel, applying `predicate` inside the
-/// scan, and concatenate the results in slice order (deterministic). When
-/// the predicate compiles to an exact batch form and `batch.enabled`, the
-/// scan is morsel-driven (fixed row ranges pulled from a shared cursor)
-/// with selection-vector filtering and late materialization, and honors
-/// `limit_cap` (stop pulling morsels once the first `limit_cap` surviving
-/// rows are known); otherwise one task per slice runs the row-at-a-time
-/// path and `limit_cap` is ignored (the runtime's LIMIT still applies).
-/// With a trace context, each slice/morsel records a span with its
-/// scan/zone-map accounting.
+/// scan, and concatenate the results in slice order (deterministic). The
+/// scan is morsel-driven (fixed row ranges pulled from a shared cursor):
+/// zone-map pruning and selection-vector filtering on the column ranges
+/// the predicate implies, late materialization of the `projection`
+/// columns, then — when the predicate is not exactly those ranges — the
+/// residual step evaluates the full predicate on each materialized row.
+/// A residual error returns the first failing morsel's error in morsel
+/// order. Honors `limit_cap`: stops pulling morsels once the first
+/// `limit_cap` rows surviving the residual are known. With a trace
+/// context, each morsel records a span with its scan/zone-map accounting.
 Result<std::vector<Row>> ParallelScan(
     const ColumnTable& table, const sql::BoundExpr* predicate, TxnId reader,
     Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
@@ -41,8 +40,9 @@ Result<std::vector<Row>> ParallelScan(
     std::optional<size_t> limit_cap = std::nullopt);
 
 /// True when the plan's aggregation can run at the data slices (one
-/// table, no residual predicate, plain-column keys and arguments, no
-/// DISTINCT) — exposed for EXPLAIN and tests.
+/// table, a scan predicate that is exactly a conjunction of column ranges
+/// and no other residual predicate, plain-column keys and arguments, no
+/// DISTINCT) — exposed so EXPLAIN and execution read one rule.
 bool EligibleForSliceAggregation(const sql::BoundSelect& plan);
 
 /// Resolve plan.tables[i] to accelerator column tables.
@@ -50,9 +50,10 @@ using AccelTableResolver =
     std::function<Result<const ColumnTable*>(const sql::BoundTable&)>;
 
 /// Execute a bound SELECT fully on the accelerator under
-/// (reader, snapshot) visibility. With a trace context, the chosen fast
-/// path, per-slice scans (zone-map rows skipped, rows scanned) and the
-/// coordinator merge are recorded as spans.
+/// (reader, snapshot) visibility: slice aggregation, the batch join, or
+/// morsel scans feeding the coordinator runtime. With a trace context,
+/// the chosen operator, per-morsel scans (zone-map rows skipped, rows
+/// scanned) and the coordinator merge are recorded as spans.
 Result<ResultSet> ExecuteAccelSelect(const sql::BoundSelect& plan,
                                      const AccelTableResolver& resolver,
                                      TxnId reader, Csn snapshot,
@@ -68,10 +69,10 @@ Result<ResultSet> ExecuteAccelSelect(const sql::BoundSelect& plan,
 /// single-instance path uses, but not finalized. The sharded coordinator
 /// merges the shard partials in shard order through MergeAggPartials, so
 /// group contents are identical to running the whole table on one
-/// instance. Covers the single-table slice aggregation and the
-/// broadcast-dimension slice join with aggregation-at-slices; nullopt
-/// means the plan's shape cannot produce mergeable partials here and the
-/// caller must row-gather instead.
+/// instance. Covers the single-table slice aggregation and batch joins
+/// against broadcast dimensions whose aggregation runs in the probe;
+/// nullopt means the plan's shape cannot produce mergeable partials here
+/// and the caller must row-gather instead.
 Result<std::optional<AggPartial>> ExecuteAccelSelectPartial(
     const sql::BoundSelect& plan, const AccelTableResolver& resolver,
     TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,

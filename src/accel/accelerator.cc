@@ -38,7 +38,6 @@ Accelerator::Accelerator(const AcceleratorOptions& options,
                          TransactionManager* tm, MetricsRegistry* metrics,
                          std::string name)
     : options_(options), name_(Catalog::NormalizeName(name)),
-      batch_path_enabled_(options.enable_batch_path),
       encoding_enabled_(options.enable_encoding), tm_(tm),
       metrics_(metrics), pool_(options.num_threads) {}
 
@@ -124,11 +123,8 @@ Result<ResultSet> Accelerator::ExecuteSelect(const sql::BoundSelect& plan,
       [this](const sql::BoundTable& bt) -> Result<const ColumnTable*> {
     return static_cast<const Accelerator*>(this)->GetTable(bt.info->name);
   };
-  BatchOptions batch;
-  batch.enabled = batch_path_enabled_.load(std::memory_order_relaxed);
-  batch.morsel_size = options_.morsel_size;
   return ExecuteAccelSelect(plan, resolver, reader, snapshot, *tm_, &pool_,
-                            metrics_, tc, batch);
+                            metrics_, tc, batch_options());
 }
 
 Result<size_t> Accelerator::ExecuteUpdate(const sql::BoundUpdate& plan,
@@ -195,15 +191,9 @@ Result<std::vector<Row>> Accelerator::SnapshotRows(const std::string& name,
                                                    TxnId reader,
                                                    Csn snapshot) const {
   IDAA_ASSIGN_OR_RETURN(const ColumnTable* table, GetTable(name));
-  std::vector<Row> rows;
-  for (size_t s = 0; s < table->num_slices(); ++s) {
-    IDAA_ASSIGN_OR_RETURN(
-        std::vector<Row> slice_rows,
-        table->ScanSlice(s, nullptr, reader, snapshot, *tm_, metrics_));
-    rows.insert(rows.end(), std::make_move_iterator(slice_rows.begin()),
-                std::make_move_iterator(slice_rows.end()));
-  }
-  return rows;
+  return ParallelScan(*table, /*predicate=*/nullptr, reader, snapshot, *tm_,
+                      /*pool=*/nullptr, metrics_, /*projection=*/nullptr, {},
+                      batch_options());
 }
 
 Result<ReplicaRoute> Accelerator::ReplicaRouteFor(const std::string& table) {
@@ -220,11 +210,8 @@ Result<std::vector<Row>> Accelerator::ScanTable(
   IDAA_RETURN_IF_ERROR(CheckReady("SELECT"));
   IDAA_ASSIGN_OR_RETURN(const ColumnTable* table,
                         static_cast<const Accelerator*>(this)->GetTable(name));
-  BatchOptions batch;
-  batch.enabled = batch_path_enabled_.load(std::memory_order_relaxed);
-  batch.morsel_size = options_.morsel_size;
   return ParallelScan(*table, predicate, reader, snapshot, *tm_, &pool_,
-                      metrics_, projection, tc, batch, limit_cap);
+                      metrics_, projection, tc, batch_options(), limit_cap);
 }
 
 Result<std::optional<AggPartial>> Accelerator::ExecuteSelectPartial(
@@ -234,11 +221,8 @@ Result<std::optional<AggPartial>> Accelerator::ExecuteSelectPartial(
       [this](const sql::BoundTable& bt) -> Result<const ColumnTable*> {
     return static_cast<const Accelerator*>(this)->GetTable(bt.info->name);
   };
-  BatchOptions batch;
-  batch.enabled = batch_path_enabled_.load(std::memory_order_relaxed);
-  batch.morsel_size = options_.morsel_size;
   return ExecuteAccelSelectPartial(plan, resolver, reader, snapshot, *tm_,
-                                   &pool_, metrics_, tc, batch);
+                                   &pool_, metrics_, tc, batch_options());
 }
 
 }  // namespace idaa::accel

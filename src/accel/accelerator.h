@@ -82,13 +82,15 @@ class Accelerator {
     injector_ = injector;
   }
 
-  /// Runtime toggle for the vectorized batch path (differential testing /
-  /// benchmarking against the row-at-a-time fallback; results are
-  /// identical either way).
-  virtual void SetBatchPathEnabled(bool enabled) {
-    batch_path_enabled_ = enabled;
+  /// Runtime toggle for the analytics operators (`CALL IDAA.*`) only:
+  /// when off, they run their serial reference fits instead of the
+  /// morsel-parallel ones. SELECT execution never reads it.
+  virtual void SetAnalyticsBatchPathEnabled(bool enabled) {
+    analytics_batch_path_enabled_ = enabled;
   }
-  bool batch_path_enabled() const { return batch_path_enabled_; }
+  bool analytics_batch_path_enabled() const {
+    return analytics_batch_path_enabled_;
+  }
 
   /// Runtime toggle for GROOM-time zone compaction on every hosted table
   /// (current and future). Results are identical either way — encoded
@@ -204,12 +206,15 @@ class Accelerator {
   /// kUnavailable unless Online, then the injector's draw for this
   /// accelerator's site. `op` names the rejected operation in the message.
   Status CheckReady(const char* op) const;
+  BatchOptions batch_options() const {
+    return BatchOptions{options_.morsel_size};
+  }
 
   AcceleratorOptions options_;
   std::string name_;
   std::atomic<AcceleratorState> state_{AcceleratorState::kOnline};
   FaultInjector* injector_ = nullptr;
-  std::atomic<bool> batch_path_enabled_;
+  std::atomic<bool> analytics_batch_path_enabled_{true};
   std::atomic<bool> encoding_enabled_;
   CompactionListener compaction_listener_;
   TransactionManager* tm_;

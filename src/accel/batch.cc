@@ -12,7 +12,7 @@ namespace {
 // element loops and the run-at-a-time RLE kernel alike. NULLs are rejected
 // before Pass() is consulted. Semantics match the raw-array loops this
 // replaced: NaN fails every bound, and an unknown operator yields an empty
-// interval (the row path never produces one).
+// interval (ExtractColumnRanges never produces one).
 template <typename T>
 struct Bounds {
   T lo;
@@ -286,17 +286,16 @@ bool OpHolds(sql::BinaryOp op, int c) {
 
 }  // namespace
 
-std::optional<BatchPredicate> CompileBatchPredicate(
+BatchPredicate CompileBatchPredicate(
     const std::vector<ColumnRange>& ranges,
     const std::vector<std::unique_ptr<Column>>& columns) {
   BatchPredicate out;
   for (const ColumnRange& r : ranges) {
-    if (r.column >= columns.size()) return std::nullopt;
     const Column& col = *columns[r.column];
     const Value& lit = r.literal;
     if (lit.is_null()) {
-      // Value::Compare errors on NULL; the row-at-a-time scan drops every
-      // row for such a conjunct.
+      // Value::Compare errors on NULL: no row can satisfy such a conjunct
+      // (a NULL comparison is never TRUE in SQL either).
       out.never_matches = true;
       return out;
     }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "accel/column.h"
@@ -110,14 +109,12 @@ struct BatchScanStats {
   }
 };
 
-/// Compile `ranges` (an exact AND-of-comparisons predicate, see
-/// ExtractColumnRanges) against one slice's columns. Returns nullopt when
-/// some comparison has no vectorized form (e.g. ordering on VARCHAR with a
-/// non-VARCHAR literal is representable as never_matches, but an
-/// unsupported column type is not); the caller falls back to the
-/// row-at-a-time path. Must be called with the slice's data lock held (it
-/// reads the dictionary).
-std::optional<BatchPredicate> CompileBatchPredicate(
+/// Compile `ranges` (the AND-of-comparisons ExtractColumnRanges returns)
+/// against one slice's columns. Every comparison has a vectorized form;
+/// literals the column type cannot compare against (Value::Compare
+/// errors) compile to never_matches. Must be called with the slice's data
+/// lock held (it reads the dictionary).
+BatchPredicate CompileBatchPredicate(
     const std::vector<ColumnRange>& ranges,
     const std::vector<std::unique_ptr<Column>>& columns);
 

@@ -71,7 +71,7 @@ class BloomFilter {
 /// buckets rows by partition (preserving build-row order), then each
 /// partition is inserted by one worker into its own disjoint slot region —
 /// no locks, no atomics. Duplicate keys chain through next_ in ascending
-/// build-row order, the same candidate order the row-path JoinIterator
+/// build-row order, the same candidate order the coordinator JoinIterator
 /// produces. Probes are lock-free.
 class JoinHashTable {
  public:
@@ -233,12 +233,16 @@ bool IntFamilyRaw(const Value& v, int64_t* out) {
   return false;
 }
 
-/// Shape test: every joined table's equi keys probe the base table with
-/// identical, non-DOUBLE types on both sides (DOUBLE equality is IEEE,
-/// not bit-pattern: -0.0 == 0.0). Fills key/residual metadata.
+/// Shape test: every table's scan predicate is exactly a conjunction of
+/// column ranges, and every joined table's equi keys probe the base table
+/// with identical, non-DOUBLE types on both sides (DOUBLE equality is
+/// IEEE, not bit-pattern: -0.0 == 0.0). Fills key/residual metadata.
 bool BatchJoinEligible(const sql::BoundSelect& plan,
                        std::vector<BuildSide>* dims) {
   if (plan.tables.size() < 2) return false;
+  for (const sql::BoundTable& bt : plan.tables) {
+    if (!IsExactScanPredicate(bt.scan_predicate.get())) return false;
+  }
   const size_t base_width = plan.tables[0].info->schema.NumColumns();
   for (size_t t = 1; t < plan.tables.size(); ++t) {
     const sql::BoundTable& bt = plan.tables[t];
@@ -424,16 +428,21 @@ ColRef ResolveColumn(size_t combined_index, size_t base_width,
 /// How an aggregate consumes its argument (mirrors BatchAggregate).
 enum class ArgMode { kRow, kCount, kInt64, kDouble, kValue };
 
-}  // namespace
-
-Result<std::optional<ResultSet>> TryBatchJoin(
-    const sql::BoundSelect& plan, const AccelTableResolver& resolver,
-    TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
-    MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch) {
+/// Shared body of TryBatchJoin and TryBatchJoinPartial. Returns false
+/// when the plan is ineligible, or when `partial` is set and the
+/// aggregation cannot run inside the probe. Otherwise fills `*partial`
+/// (when non-null) with the merged, unfinalized probe partials, or
+/// `*result` with the finished statement result.
+Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
+                          const AccelTableResolver& resolver, TxnId reader,
+                          Csn snapshot, const TransactionManager& tm,
+                          ThreadPool* pool, MetricsRegistry* metrics,
+                          TraceContext tc, const BatchOptions& batch,
+                          ResultSet* result, AggPartial* partial) {
   std::vector<BuildSide> dims;
-  if (!batch.enabled || !BatchJoinEligible(plan, &dims)) {
-    return std::optional<ResultSet>();
-  }
+  if (!BatchJoinEligible(plan, &dims)) return false;
+  const bool aggregate_mode = JoinAggregateMode(plan, dims);
+  if (partial != nullptr && !aggregate_mode) return false;
 
   IDAA_ASSIGN_OR_RETURN(const ColumnTable* base, resolver(plan.tables[0]));
   std::vector<const ColumnTable*> dim_tables(dims.size());
@@ -459,17 +468,13 @@ Result<std::optional<ResultSet>> TryBatchJoin(
   pin_once(base);
   for (const ColumnTable* t : dim_tables) pin_once(t);
 
-  BatchScanPlan base_bp;
-  if (!PrepareBatchScan(*base, plan.tables[0].scan_predicate.get(),
-                        &base_bp)) {
-    return std::optional<ResultSet>();
-  }
-  std::vector<BatchScanPlan> dim_bps(dims.size());
+  const BatchScanPlan base_bp =
+      PrepareBatchScan(*base, plan.tables[0].scan_predicate.get());
+  std::vector<BatchScanPlan> dim_bps;
+  dim_bps.reserve(dims.size());
   for (size_t d = 0; d < dims.size(); ++d) {
-    if (!PrepareBatchScan(*dim_tables[d], dims[d].bt->scan_predicate.get(),
-                          &dim_bps[d])) {
-      return std::optional<ResultSet>();
-    }
+    dim_bps.push_back(
+        PrepareBatchScan(*dim_tables[d], dims[d].bt->scan_predicate.get()));
   }
 
   const size_t base_width = plan.tables[0].info->schema.NumColumns();
@@ -522,8 +527,6 @@ Result<std::optional<ResultSet>> TryBatchJoin(
       }
     }
   }
-
-  const bool aggregate_mode = JoinAggregateMode(plan, dims);
 
   // Aggregate-mode metadata: group-key sources (slice-qualified raw codes
   // for base-side VARCHAR keys, global codes for build-side keys) and
@@ -976,12 +979,16 @@ Result<std::optional<ResultSet>> TryBatchJoin(
 
   TraceSpan merge_span(tc, "accel.coordinator_merge");
   if (aggregate_mode) {
+    IDAA_ASSIGN_OR_RETURN(AggPartial merged, MergeAggPartialsRaw(&partials));
+    merge_span.Attr("groups", static_cast<uint64_t>(merged.keys.size()));
+    if (partial != nullptr) {
+      *partial = std::move(merged);
+      return true;
+    }
     IDAA_ASSIGN_OR_RETURN(std::vector<Row> post,
-                          MergeAggPartials(plan, &partials));
-    merge_span.Attr("groups", static_cast<uint64_t>(post.size()));
-    IDAA_ASSIGN_OR_RETURN(ResultSet out,
-                          exec::FinalizeSelect(plan, std::move(post)));
-    return std::optional<ResultSet>(std::move(out));
+                          FinalizeAggPartial(plan, std::move(merged)));
+    IDAA_ASSIGN_OR_RETURN(*result, exec::FinalizeSelect(plan, std::move(post)));
+    return true;
   }
   std::vector<Row> combined;
   size_t total_rows = 0;
@@ -992,9 +999,36 @@ Result<std::optional<ResultSet>> TryBatchJoin(
                     std::make_move_iterator(rows.end()));
   }
   merge_span.Attr("rows", static_cast<uint64_t>(combined.size()));
-  IDAA_ASSIGN_OR_RETURN(ResultSet out,
-                        exec::FinishSelect(plan, std::move(combined)));
-  return std::optional<ResultSet>(std::move(out));
+  IDAA_ASSIGN_OR_RETURN(*result, exec::FinishSelect(plan, std::move(combined)));
+  return true;
+}
+
+}  // namespace
+
+Result<std::optional<ResultSet>> TryBatchJoin(
+    const sql::BoundSelect& plan, const AccelTableResolver& resolver,
+    TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
+    MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch) {
+  ResultSet result;
+  IDAA_ASSIGN_OR_RETURN(bool done,
+                        RunBatchJoin(plan, resolver, reader, snapshot, tm,
+                                     pool, metrics, tc, batch, &result,
+                                     nullptr));
+  if (!done) return std::optional<ResultSet>();
+  return std::optional<ResultSet>(std::move(result));
+}
+
+Result<std::optional<AggPartial>> TryBatchJoinPartial(
+    const sql::BoundSelect& plan, const AccelTableResolver& resolver,
+    TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
+    MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch) {
+  AggPartial partial;
+  IDAA_ASSIGN_OR_RETURN(bool done,
+                        RunBatchJoin(plan, resolver, reader, snapshot, tm,
+                                     pool, metrics, tc, batch, nullptr,
+                                     &partial));
+  if (!done) return std::optional<AggPartial>();
+  return std::optional<AggPartial>(std::move(partial));
 }
 
 }  // namespace idaa::accel

@@ -3,8 +3,7 @@
 // consumes the base scan's selection vectors, dictionary-code comparison
 // for VARCHAR equi-keys, and sideways information passing (join-key
 // min/max + Bloom filters pushed into the probe scan's zone-map pruning).
-// The row-path JoinIterator remains the automatic fallback for anything
-// this path declines.
+// The coordinator JoinIterator runs the shapes this path declines.
 
 #pragma once
 
@@ -15,14 +14,24 @@
 namespace idaa::accel {
 
 /// Execute a multi-table SELECT with the vectorized batch join. Returns
-/// nullopt (fallback to the slice/coordinator join) when the plan shape is
+/// nullopt (the caller runs the coordinator join) when the plan shape is
 /// ineligible: a join key does not probe the base table, key types differ
 /// across a key pair, a key is DOUBLE-typed (bit-pattern equality would
-/// diverge from SQL equality on -0.0/0.0), or a scan predicate does not
-/// convert exactly to batch form. Inner, left-outer and cross joins with
-/// residual non-equi conjuncts are handled; results are identical to the
-/// row path.
+/// diverge from SQL equality on -0.0/0.0), or a scan predicate is not
+/// exactly a conjunction of column ranges. Inner, left-outer and cross
+/// joins with residual non-equi conjuncts are handled; results are
+/// identical to the coordinator join.
 Result<std::optional<ResultSet>> TryBatchJoin(
+    const sql::BoundSelect& plan, const AccelTableResolver& resolver,
+    TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
+    MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch);
+
+/// Shard-scatter leg of the batch join: for plans TryBatchJoin accepts
+/// whose aggregation runs inside the probe (every dimension keyed, no
+/// residual WHERE or join conjuncts, plain-column keys and arguments, no
+/// DISTINCT), returns the probe partials merged in worker order but NOT
+/// finalized. Any other shape returns nullopt.
+Result<std::optional<AggPartial>> TryBatchJoinPartial(
     const sql::BoundSelect& plan, const AccelTableResolver& resolver,
     TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
     MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch);

@@ -43,15 +43,6 @@ Row ColumnTable::Slice::MaterializeRow(size_t i) const {
   return row;
 }
 
-Row ColumnTable::Slice::MaterializeProjected(
-    size_t i, const std::vector<uint8_t>& projection) const {
-  Row row(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    if (projection[c]) row[c] = columns[c]->Get(i);
-  }
-  return row;
-}
-
 ColumnTable::ColumnTable(Schema schema,
                          std::optional<size_t> distribution_column,
                          const AcceleratorOptions& options)
@@ -398,191 +389,6 @@ Result<size_t> ColumnTable::UpdateWhere(
   return pending.size();
 }
 
-Result<std::vector<Row>> ColumnTable::ScanSlice(
-    size_t slice_index, const BoundExpr* predicate, TxnId reader, Csn snapshot,
-    const TransactionManager& tm, MetricsRegistry* metrics,
-    const std::vector<uint8_t>* projection, SliceScanStats* stats) const {
-  // Pin the layout (blocks Groom's index-shifting rebuilds, not writers),
-  // then take the data lock per zone so a long scan never stalls writers
-  // for more than one zone's worth of work.
-  std::shared_lock<std::shared_mutex> groom_pin(groom_mu_);
-  TransactionManager::VisibilityChecker visibility(&tm, reader, snapshot);
-  const Slice& slice = slices_[slice_index];
-  size_t num_rows;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    num_rows = slice.NumRows();
-  }
-  std::vector<Row> out;
-  out.reserve(std::min<size_t>(num_rows, 1024));
-
-  std::vector<ColumnRange> ranges;
-  bool exact_ranges = false;
-  if (predicate != nullptr) {
-    ranges = ExtractColumnRanges(*predicate, &exact_ranges);
-  }
-
-  const size_t zone_size = options_.zone_size;
-  size_t rows_scanned = 0;
-  size_t rows_skipped = 0;
-  std::vector<Row> candidates;
-
-  for (size_t zone_start = 0; zone_start < num_rows; zone_start += zone_size) {
-    size_t zone = zone_start / zone_size;
-    size_t zone_end = std::min(zone_start + zone_size, num_rows);
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (options_.enable_zone_maps && !ranges.empty() &&
-        !slice.zone_map.ZoneCanMatch(zone, ranges)) {
-      rows_skipped += zone_end - zone_start;
-      continue;
-    }
-
-    // Vectorized restriction: evaluate simple ranges column-at-a-time over
-    // the zone (the software stand-in for the FPGA restriction stage).
-    std::vector<uint8_t> selected(zone_end - zone_start, 1);
-    for (const ColumnRange& range : ranges) {
-      const Column& col = *slice.columns[range.column];
-      for (size_t i = zone_start; i < zone_end; ++i) {
-        size_t s = i - zone_start;
-        if (!selected[s]) continue;
-        if (col.IsNull(i)) {
-          selected[s] = 0;
-          continue;
-        }
-        Value v = col.Get(i);
-        auto cmp = v.Compare(range.literal);
-        if (!cmp.ok()) {
-          selected[s] = 0;
-          continue;
-        }
-        bool pass = false;
-        switch (range.op) {
-          case sql::BinaryOp::kEq: pass = *cmp == 0; break;
-          case sql::BinaryOp::kLt: pass = *cmp < 0; break;
-          case sql::BinaryOp::kLtEq: pass = *cmp <= 0; break;
-          case sql::BinaryOp::kGt: pass = *cmp > 0; break;
-          case sql::BinaryOp::kGtEq: pass = *cmp >= 0; break;
-          default: pass = true;
-        }
-        if (!pass) selected[s] = 0;
-      }
-    }
-
-    candidates.clear();
-    for (size_t i = zone_start; i < zone_end; ++i) {
-      ++rows_scanned;
-      if (!selected[i - zone_start]) continue;
-      if (!visibility.IsVisible(slice.createxid[i], slice.deletexid[i])) {
-        continue;
-      }
-      candidates.push_back(projection != nullptr
-                               ? slice.MaterializeProjected(i, *projection)
-                               : slice.MaterializeRow(i));
-    }
-    // Residual predicate evaluation runs on materialized copies, outside
-    // the data lock — arbitrary expression work must not stall writers.
-    lock.unlock();
-    for (Row& row : candidates) {
-      if (predicate != nullptr && !exact_ranges) {
-        IDAA_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate, row));
-        if (!pass) continue;
-      }
-      out.push_back(std::move(row));
-    }
-  }
-
-  if (metrics != nullptr) {
-    metrics->Add(metric::kAccelRowsScanned, rows_scanned);
-    metrics->Add(metric::kAccelRowsSkippedZoneMap, rows_skipped);
-  }
-  if (stats != nullptr) {
-    stats->rows_scanned = rows_scanned;
-    stats->rows_skipped_zone_map = rows_skipped;
-  }
-  return out;
-}
-
-Status ColumnTable::VisitVisible(size_t slice_index,
-                                 const BoundExpr* predicate, TxnId reader,
-                                 Csn snapshot, const TransactionManager& tm,
-                                 MetricsRegistry* metrics,
-                                 const ColumnVisitor& visitor,
-                                 SliceScanStats* stats) const {
-  std::vector<ColumnRange> ranges;
-  if (predicate != nullptr) {
-    bool exact = false;
-    ranges = ExtractColumnRanges(*predicate, &exact);
-    if (!exact) {
-      return Status::NotSupported(
-          "predicate not expressible as column ranges");
-    }
-  }
-  // As in ScanSlice: pin the layout for the whole visit, hold the data
-  // lock only per zone so the visitor (which may feed a slow coordinator)
-  // cannot stall Groom or writers for the whole slice.
-  std::shared_lock<std::shared_mutex> groom_pin(groom_mu_);
-  TransactionManager::VisibilityChecker visibility(&tm, reader, snapshot);
-  const Slice& slice = slices_[slice_index];
-  size_t num_rows;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    num_rows = slice.NumRows();
-  }
-  const size_t zone_size = options_.zone_size;
-  size_t rows_scanned = 0;
-  size_t rows_skipped = 0;
-
-  for (size_t zone_start = 0; zone_start < num_rows; zone_start += zone_size) {
-    size_t zone = zone_start / zone_size;
-    size_t zone_end = std::min(zone_start + zone_size, num_rows);
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (options_.enable_zone_maps && !ranges.empty() &&
-        !slice.zone_map.ZoneCanMatch(zone, ranges)) {
-      rows_skipped += zone_end - zone_start;
-      continue;
-    }
-    for (size_t i = zone_start; i < zone_end; ++i) {
-      ++rows_scanned;
-      bool pass = true;
-      for (const ColumnRange& range : ranges) {
-        const Column& col = *slice.columns[range.column];
-        if (col.IsNull(i)) {
-          pass = false;
-          break;
-        }
-        auto cmp = col.Get(i).Compare(range.literal);
-        if (!cmp.ok()) {
-          pass = false;
-          break;
-        }
-        switch (range.op) {
-          case sql::BinaryOp::kEq: pass = *cmp == 0; break;
-          case sql::BinaryOp::kLt: pass = *cmp < 0; break;
-          case sql::BinaryOp::kLtEq: pass = *cmp <= 0; break;
-          case sql::BinaryOp::kGt: pass = *cmp > 0; break;
-          case sql::BinaryOp::kGtEq: pass = *cmp >= 0; break;
-          default: break;
-        }
-        if (!pass) break;
-      }
-      if (!pass) continue;
-      if (!visibility.IsVisible(slice.createxid[i], slice.deletexid[i])) {
-        continue;
-      }
-      visitor(slice.columns, i);
-    }
-  }
-  if (metrics != nullptr) {
-    metrics->Add(metric::kAccelRowsScanned, rows_scanned);
-    metrics->Add(metric::kAccelRowsSkippedZoneMap, rows_skipped);
-  }
-  if (stats != nullptr) {
-    stats->rows_scanned = rows_scanned;
-    stats->rows_skipped_zone_map = rows_skipped;
-  }
-  return Status::OK();
-}
-
 Result<size_t> ColumnTable::CountVisible(TxnId reader, Csn snapshot,
                                          const TransactionManager& tm) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -787,7 +593,7 @@ std::vector<Morsel> ColumnTable::PlanMorsels(size_t morsel_size) const {
   return morsels;
 }
 
-std::optional<BatchPredicate> ColumnTable::CompilePredicateForSlice(
+BatchPredicate ColumnTable::CompilePredicateForSlice(
     size_t slice_index, const std::vector<ColumnRange>& ranges) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return CompileBatchPredicate(ranges, slices_[slice_index].columns);

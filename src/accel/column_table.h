@@ -33,10 +33,6 @@ struct AcceleratorOptions {
   size_t zone_size = 1024;    ///< rows per zone-map extent
   bool enable_zone_maps = true;
   size_t num_threads = 4;     ///< worker threads for slice parallelism
-  /// Vectorized batch execution (selection-vector scans over raw column
-  /// arrays). When off — or when a query is not batchable — the
-  /// row-at-a-time path runs instead; results are identical.
-  bool enable_batch_path = true;
   size_t morsel_size = kDefaultMorselSize;  ///< rows per scan morsel
   /// Per-zone compressed encodings (RLE / FOR-bitpack / null bitmaps),
   /// applied by GROOM to full zones while the hot tail stays uncompressed.
@@ -77,13 +73,6 @@ struct TableEncodingStats {
   uint64_t compaction_epoch = 0;
 };
 
-/// Per-scan accounting for one slice (query-trace attribution; the global
-/// MetricsRegistry counters are incremented regardless).
-struct SliceScanStats {
-  size_t rows_scanned = 0;
-  size_t rows_skipped_zone_map = 0;
-};
-
 class ColumnTable {
  public:
   ColumnTable(Schema schema, std::optional<size_t> distribution_column,
@@ -122,43 +111,11 @@ class ColumnTable {
       const sql::BoundExpr* predicate, TxnId txn, Csn snapshot,
       const TransactionManager& tm);
 
-  /// Scan one slice: rows visible to (reader, snapshot) that satisfy
-  /// `predicate`. Zones that provably cannot match are skipped via zone
-  /// maps; pure conjunctions of simple comparisons take a vectorized
-  /// column-at-a-time path; visibility resolution is memoized per scan.
-  /// If `projection` is non-null (one flag per column), columns whose flag
-  /// is 0 are not materialized (the output row holds NULL there) — the
-  /// columnar engine reads only what the query touches.
-  /// Thread-safe against concurrent scans.
-  /// `stats`, when non-null, receives this scan's row accounting (for
-  /// per-query trace attribution).
-  Result<std::vector<Row>> ScanSlice(size_t slice_index,
-                                     const sql::BoundExpr* predicate,
-                                     TxnId reader, Csn snapshot,
-                                     const TransactionManager& tm,
-                                     MetricsRegistry* metrics,
-                                     const std::vector<uint8_t>* projection =
-                                         nullptr,
-                                     SliceScanStats* stats = nullptr) const;
-
   /// Rows visible to (reader, snapshot) across all slices (no predicate).
   Result<size_t> CountVisible(TxnId reader, Csn snapshot,
                               const TransactionManager& tm) const;
 
-  /// Column-at-a-time visitor over the visible, predicate-passing rows of
-  /// one slice — the hook for slice-local (SPU-side) aggregation. Only
-  /// predicates that convert exactly to column ranges are supported;
-  /// anything else returns kNotSupported and the caller must fall back to
-  /// ScanSlice. The visitor receives the slice's columns and a row index.
-  using ColumnVisitor =
-      std::function<void(const std::vector<std::unique_ptr<Column>>& columns,
-                         size_t row_index)>;
-  Status VisitVisible(size_t slice_index, const sql::BoundExpr* predicate,
-                      TxnId reader, Csn snapshot, const TransactionManager& tm,
-                      MetricsRegistry* metrics, const ColumnVisitor& visitor,
-                      SliceScanStats* stats = nullptr) const;
-
-  // ---- Vectorized batch scan interface ----------------------------------
+  // ---- Morsel-driven scan interface -------------------------------------
 
   const AcceleratorOptions& options() const { return options_; }
 
@@ -178,8 +135,8 @@ class ColumnTable {
   std::vector<Morsel> PlanMorsels(size_t morsel_size) const;
 
   /// Compile `ranges` against one slice's dictionaries (codes are
-  /// slice-local). nullopt → not batchable, use the row path.
-  std::optional<BatchPredicate> CompilePredicateForSlice(
+  /// slice-local).
+  BatchPredicate CompilePredicateForSlice(
       size_t slice_index, const std::vector<ColumnRange>& ranges) const;
 
   /// Scan one morsel: bulk visibility over createxid/deletexid, zone-map
@@ -264,9 +221,6 @@ class ColumnTable {
     void Reserve(size_t n);
     Status Append(const Row& row, TxnId txn);
     Row MaterializeRow(size_t i) const;
-    /// Materialize only the flagged columns (others stay NULL).
-    Row MaterializeProjected(size_t i,
-                             const std::vector<uint8_t>& projection) const;
   };
 
   size_t SliceFor(const Row& row);

@@ -18,29 +18,42 @@
 namespace idaa::accel {
 
 /// A scan predicate compiled for every slice of one table (dictionary
-/// codes are slice-local, so each slice gets its own compilation).
+/// codes are slice-local, so each slice gets its own compilation). The
+/// column ranges the predicate implies drive zone-map pruning and the
+/// compiled per-slice filter; when the predicate is not exactly their
+/// conjunction, `residual` holds the full predicate, evaluated on each
+/// late-materialized surviving row.
 struct BatchScanPlan {
   std::vector<ColumnRange> ranges;
   std::vector<BatchPredicate> per_slice;
+  const sql::BoundExpr* residual = nullptr;
 };
 
-/// True when `predicate` (nullable) converts exactly to column ranges that
-/// compile to a batch predicate on every slice of `table`.
-inline bool PrepareBatchScan(const ColumnTable& table,
-                             const sql::BoundExpr* predicate,
-                             BatchScanPlan* out) {
+/// True when `predicate` (nullable) is exactly a conjunction of column
+/// ranges, i.e. its batch scan needs no residual step.
+inline bool IsExactScanPredicate(const sql::BoundExpr* predicate) {
+  if (predicate == nullptr) return true;
+  bool exact = false;
+  ExtractColumnRanges(*predicate, &exact);
+  return exact;
+}
+
+/// Compile `predicate` (nullable) for every slice of `table`. Callers hold
+/// the table's scan pin: the compiled predicates bake in slice-local
+/// dictionary codes that a Groom rebuild would re-intern.
+inline BatchScanPlan PrepareBatchScan(const ColumnTable& table,
+                                      const sql::BoundExpr* predicate) {
+  BatchScanPlan out;
   if (predicate != nullptr) {
     bool exact = false;
-    out->ranges = ExtractColumnRanges(*predicate, &exact);
-    if (!exact) return false;
+    out.ranges = ExtractColumnRanges(*predicate, &exact);
+    if (!exact) out.residual = predicate;
   }
-  out->per_slice.reserve(table.num_slices());
+  out.per_slice.reserve(table.num_slices());
   for (size_t s = 0; s < table.num_slices(); ++s) {
-    auto compiled = table.CompilePredicateForSlice(s, out->ranges);
-    if (!compiled.has_value()) return false;
-    out->per_slice.push_back(std::move(*compiled));
+    out.per_slice.push_back(table.CompilePredicateForSlice(s, out.ranges));
   }
-  return true;
+  return out;
 }
 
 inline size_t MorselWorkerCount(ThreadPool* pool, size_t num_morsels) {
@@ -90,9 +103,8 @@ inline std::vector<std::vector<uint8_t>> ComputeProjections(
   return per_table;
 }
 
-/// Emit the per-morsel scan accounting as an accel.slice_scan span (the
-/// same stage name the row path uses, so EXPLAIN ANALYZE consumers see a
-/// uniform shape). Records the observed per-morsel selectivity so
+/// Emit the per-morsel scan accounting as an accel.slice_scan span.
+/// Records the observed per-morsel selectivity so
 /// adaptive-routing consumers can see skew between morsels.
 inline void RecordMorselSpan(TraceSpan& span, const Morsel& morsel,
                              const BatchScanStats& before,

@@ -1,7 +1,7 @@
 // Partial aggregation state shared by the accelerator's parallel
-// execution paths (slice aggregation, slice join, batch aggregation and
-// the batch hash join): each worker accumulates into its own partial and
-// the coordinator merges them into post-aggregation rows.
+// execution paths (slice aggregation and the batch hash join's aggregate
+// mode): each worker accumulates into its own partial and the coordinator
+// merges them into post-aggregation rows.
 
 #pragma once
 

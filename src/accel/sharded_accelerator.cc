@@ -185,10 +185,10 @@ void ShardedAccelerator::set_fault_injector(FaultInjector* injector) {
   for (auto& shard : shards_) shard->set_fault_injector(injector);
 }
 
-void ShardedAccelerator::SetBatchPathEnabled(bool enabled) {
+void ShardedAccelerator::SetAnalyticsBatchPathEnabled(bool enabled) {
   auto pin = AcquirePin();
-  batch_path_enabled_ = enabled;
-  for (auto& shard : shards_) shard->SetBatchPathEnabled(enabled);
+  analytics_batch_path_enabled_ = enabled;
+  for (auto& shard : shards_) shard->SetAnalyticsBatchPathEnabled(enabled);
 }
 
 void ShardedAccelerator::SetEncodingEnabled(bool enabled) {
@@ -671,7 +671,7 @@ Status ShardedAccelerator::AddShard() {
   auto fresh = std::make_unique<Accelerator>(
       options_, tm_, metrics_, name_ + "#" + std::to_string(n - 1));
   fresh->set_fault_injector(injector_);
-  fresh->SetBatchPathEnabled(batch_path_enabled_.load());
+  fresh->SetAnalyticsBatchPathEnabled(analytics_batch_path_enabled_.load());
   fresh->SetEncodingEnabled(encoding_enabled_.load());
 
   // All data movement happens inside one MVCC transaction: the new

@@ -21,8 +21,10 @@
 //                                         data is touched per query);
 //   3. aggregation                     -> scatter: every shard computes an
 //                                         unfinalized AggPartial locally
-//                                         (slice partials merged in the
-//                                         single-appliance order), the
+//                                         (slice aggregation, or the batch
+//                                         join's aggregate-mode probe,
+//                                         merged in the single-appliance
+//                                         order), the
 //                                         coordinator merges shard
 //                                         partials in shard order and
 //                                         finalizes — bit-identical to one
@@ -107,7 +109,7 @@ class ShardedAccelerator : public Accelerator {
   // -- Accelerator API -----------------------------------------------------
 
   void set_fault_injector(FaultInjector* injector) override;
-  void SetBatchPathEnabled(bool enabled) override;
+  void SetAnalyticsBatchPathEnabled(bool enabled) override;
   void SetEncodingEnabled(bool enabled) override;
 
   size_t NumTables() const override;

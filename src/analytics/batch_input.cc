@@ -24,16 +24,10 @@ AnalyticsInput::AnalyticsInput(const accel::ColumnTable* table,
     : table_(table), tm_(tm), reader_(reader), snapshot_(snapshot),
       pool_(pool), pin_(table->PinForScan()),
       morsels_(table->PlanMorsels(table->options().morsel_size)) {
-  // Analytics inputs carry no predicate; the empty conjunction compiles on
-  // every slice, making every input batchable in practice.
+  // Analytics inputs carry no predicate: the empty conjunction per slice.
   per_slice_.reserve(table_->num_slices());
   for (size_t s = 0; s < table_->num_slices(); ++s) {
-    auto compiled = table_->CompilePredicateForSlice(s, {});
-    if (!compiled.has_value()) {
-      batchable_ = false;
-      return;
-    }
-    per_slice_.push_back(std::move(*compiled));
+    per_slice_.push_back(table_->CompilePredicateForSlice(s, {}));
   }
 }
 
@@ -309,14 +303,9 @@ Result<std::unique_ptr<AnalyticsInput>> AnalyticsContext::OpenInput(
   IDAA_ASSIGN_OR_RETURN(const accel::ColumnTable* table,
                         static_cast<const accel::Accelerator*>(accelerator_)
                             ->GetTable(info->name));
-  auto input = std::make_unique<AnalyticsInput>(
-      table, tm_, txn_->id(), txn_->snapshot_csn(),
-      accelerator_->thread_pool());
-  if (!input->batchable()) {
-    return Status::NotSupported("input " + info->name +
-                                " is not batch-scannable");
-  }
-  return input;
+  return std::make_unique<AnalyticsInput>(table, tm_, txn_->id(),
+                                          txn_->snapshot_csn(),
+                                          accelerator_->thread_pool());
 }
 
 }  // namespace idaa::analytics

@@ -38,9 +38,6 @@ class AnalyticsInput {
 
   const Schema& schema() const { return table_->schema(); }
   size_t num_morsels() const { return morsels_.size(); }
-  /// False when some slice's (empty) predicate failed to compile — the
-  /// caller must fall back to the serial row path.
-  bool batchable() const { return batchable_; }
 
   /// Morsel-parallel scan: `fn(worker, morsel_index, batch)` receives every
   /// non-empty visible batch. `worker` < the pool's worker count lets the
@@ -96,7 +93,6 @@ class AnalyticsInput {
   std::shared_lock<std::shared_mutex> pin_;  // held for the input's lifetime
   std::vector<accel::Morsel> morsels_;
   std::vector<accel::BatchPredicate> per_slice_;  // compiled empty predicate
-  bool batchable_ = true;
 };
 
 }  // namespace idaa::analytics

@@ -10,7 +10,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,13 +65,11 @@ class AnalyticsContext {
   /// release the input before recreating an AOT of the same name.
   Result<std::unique_ptr<AnalyticsInput>> OpenInput(const std::string& name);
 
-  /// Batch-path toggle, mirroring Accelerator::SetBatchPathEnabled: when
-  /// unset, the hosting accelerator's setting decides; operators fall back
-  /// to the serial row path automatically when the batch path is off or an
-  /// input cannot be batch-scanned.
-  void SetBatchPathEnabled(bool enabled) { batch_path_override_ = enabled; }
+  /// Whether operators run their morsel-parallel fits (the default) or
+  /// the serial reference fits: the hosting accelerator's
+  /// SetAnalyticsBatchPathEnabled setting.
   bool batch_path_enabled() const {
-    return batch_path_override_.value_or(accelerator_->batch_path_enabled());
+    return accelerator_->analytics_batch_path_enabled();
   }
 
   /// Trace context the hosting CALL threads through the operator; spans
@@ -112,7 +109,6 @@ class AnalyticsContext {
   Transaction* txn_;
   MetricsRegistry* metrics_;
   std::vector<std::string> created_tables_;
-  std::optional<bool> batch_path_override_;
   TraceContext trace_;
 };
 

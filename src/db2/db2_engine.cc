@@ -46,6 +46,19 @@ Status Db2Engine::DropTableStorage(const TableInfo& info) {
   return row_store_.DropTable(info.table_id);
 }
 
+Result<std::vector<StoredRow>> Db2Engine::ScanMatching(
+    const StoredTable& table, const sql::BoundExpr* predicate) {
+  size_t examined = 0;
+  auto matches = table.ScanLiveWhere(
+      [predicate](const Row& row) -> Result<bool> {
+        if (predicate == nullptr) return true;
+        return EvalPredicate(*predicate, row);
+      },
+      &examined);
+  if (metrics_ != nullptr) metrics_->Add(metric::kDb2RowsScanned, examined);
+  return matches;
+}
+
 Result<ResultSet> Db2Engine::ExecuteSelect(const sql::BoundSelect& plan,
                                            Transaction* txn, TraceContext tc) {
   // Cursor stability: S locks held for the statement only.
@@ -130,12 +143,10 @@ Result<size_t> Db2Engine::ExecuteUpdate(const sql::BoundUpdate& plan,
   IDAA_ASSIGN_OR_RETURN(StoredTable* table, row_store_.GetTable(info.table_id));
   bool capture = NeedsCapture(info);
 
+  IDAA_ASSIGN_OR_RETURN(std::vector<StoredRow> matches,
+                        ScanMatching(*table, plan.where.get()));
   size_t updated = 0;
-  for (const StoredRow& stored : table->ScanLive()) {
-    if (plan.where) {
-      IDAA_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*plan.where, stored.values));
-      if (!pass) continue;
-    }
+  for (const StoredRow& stored : matches) {
     Row new_row = stored.values;
     for (const auto& [col, expr] : plan.assignments) {
       IDAA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, stored.values));
@@ -171,12 +182,10 @@ Result<size_t> Db2Engine::ExecuteDelete(const sql::BoundDelete& plan,
   IDAA_ASSIGN_OR_RETURN(StoredTable* table, row_store_.GetTable(info.table_id));
   bool capture = NeedsCapture(info);
 
+  IDAA_ASSIGN_OR_RETURN(std::vector<StoredRow> matches,
+                        ScanMatching(*table, plan.where.get()));
   size_t deleted = 0;
-  for (const StoredRow& stored : table->ScanLive()) {
-    if (plan.where) {
-      IDAA_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*plan.where, stored.values));
-      if (!pass) continue;
-    }
+  for (const StoredRow& stored : matches) {
     IDAA_RETURN_IF_ERROR(table->Delete(stored.rid));
     ++deleted;
     uint64_t rid = stored.rid;

@@ -45,6 +45,9 @@ class Db2Engine {
   Result<size_t> InsertRows(const TableInfo& info, std::vector<Row> rows,
                             Transaction* txn);
 
+  /// Searched UPDATE / DELETE: a full scan of the live rows (see
+  /// ScanMatching). A WHERE error fails the statement before any row
+  /// changes.
   Result<size_t> ExecuteUpdate(const sql::BoundUpdate& plan, Transaction* txn);
   Result<size_t> ExecuteDelete(const sql::BoundDelete& plan, Transaction* txn);
 
@@ -60,6 +63,12 @@ class Db2Engine {
   bool NeedsCapture(const TableInfo& info) const {
     return info.kind == TableKind::kAccelerated;
   }
+
+  /// Live rows satisfying `predicate` (nullable), tested in place so only
+  /// matches are copied; the rows examined are counted under
+  /// db2.rows_scanned, one Add per statement.
+  Result<std::vector<StoredRow>> ScanMatching(const StoredTable& table,
+                                              const sql::BoundExpr* predicate);
 
   Catalog* catalog_;
   TransactionManager* txn_manager_;

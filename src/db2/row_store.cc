@@ -95,6 +95,20 @@ std::vector<StoredRow> StoredTable::ScanLive() const {
   return out;
 }
 
+Result<std::vector<StoredRow>> StoredTable::ScanLiveWhere(
+    const std::function<Result<bool>(const Row&)>& keep,
+    size_t* examined) const {
+  std::vector<StoredRow> out;
+  *examined = 0;
+  for (const StoredRow& r : rows_) {
+    if (r.deleted) continue;
+    ++*examined;
+    IDAA_ASSIGN_OR_RETURN(bool pass, keep(r.values));
+    if (pass) out.push_back(r);
+  }
+  return out;
+}
+
 size_t StoredTable::NumLiveRows() const {
   size_t count = 0;
   for (const StoredRow& r : rows_) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,6 +64,13 @@ class StoredTable {
   /// All live rows (with RIDs). The caller owns the copy — a statement-level
   /// stable scan under the table's S lock.
   std::vector<StoredRow> ScanLive() const;
+
+  /// The live rows `keep` accepts, tested in place so only they are
+  /// copied (searched UPDATE/DELETE). `*examined` receives the number of
+  /// live rows tested; the first error `keep` returns ends the scan.
+  Result<std::vector<StoredRow>> ScanLiveWhere(
+      const std::function<Result<bool>(const Row&)>& keep,
+      size_t* examined) const;
 
   size_t NumLiveRows() const;
   size_t NumSlots() const { return rows_.size(); }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/accel_executor.h"
 #include "accel/column.h"
 #include "accel/column_table.h"
 #include "accel/zone_map.h"
@@ -184,14 +185,33 @@ class ColumnTableTest : public ::testing::Test {
   }
 
   Result<std::vector<Row>> ScanAll(Transaction* txn) {
-    std::vector<Row> all;
-    for (size_t s = 0; s < table_->num_slices(); ++s) {
-      auto rows = table_->ScanSlice(s, nullptr, txn->id(), txn->snapshot_csn(),
-                                    tm_, nullptr);
-      if (!rows.ok()) return rows.status();
-      for (auto& r : *rows) all.push_back(std::move(r));
+    return ParallelScan(*table_, nullptr, txn->id(), txn->snapshot_csn(), tm_,
+                        /*pool=*/nullptr, /*metrics=*/nullptr);
+  }
+
+  /// Visible rows of one slice, through the morsel scan.
+  std::vector<Row> ScanOneSlice(const ColumnTable& table, size_t slice,
+                                Transaction* txn) {
+    TransactionManager::VisibilityChecker visibility(&tm_, txn->id(),
+                                                     txn->snapshot_csn());
+    const BatchPredicate no_predicate;
+    std::vector<uint32_t> sel;
+    BatchScanStats stats;
+    std::vector<Row> rows;
+    for (const Morsel& m : table.PlanMorsels(kDefaultMorselSize)) {
+      if (m.slice != slice) continue;
+      table.ScanMorsel(m, {}, &no_predicate, visibility, &sel, &stats,
+                       [&](const ColumnBatch& b) {
+                         for (size_t k = 0; k < b.sel_count; ++k) {
+                           Row row;
+                           for (const auto& col : *b.columns) {
+                             row.push_back(col->Get(b.AbsoluteRow(k)));
+                           }
+                           rows.push_back(std::move(row));
+                         }
+                       });
     }
-    return all;
+    return rows;
   }
 
   Schema schema_;
@@ -332,11 +352,10 @@ TEST_F(ColumnTableTest, HashDistributionGroupsKeys) {
   // yields either all 10 or none of each key.
   Transaction* r = tm_.Begin();
   for (size_t s = 0; s < table.num_slices(); ++s) {
-    auto slice_rows = table.ScanSlice(s, nullptr, r->id(), r->snapshot_csn(),
-                                      tm_, nullptr);
-    ASSERT_TRUE(slice_rows.ok());
     std::map<int64_t, int> counts;
-    for (const Row& row : *slice_rows) ++counts[row[0].AsInteger()];
+    for (const Row& row : ScanOneSlice(table, s, r)) {
+      ++counts[row[0].AsInteger()];
+    }
     for (const auto& [key, count] : counts) EXPECT_EQ(count, 10) << key;
   }
 }
@@ -402,8 +421,8 @@ TEST_F(ColumnTableTest, ScanWithZoneMapPruning) {
 
   Transaction* r = tm_.Begin();
   auto pred = BindOverSchema("id BETWEEN 50 AND 55", schema_);
-  auto result =
-      table.ScanSlice(0, pred.get(), r->id(), r->snapshot_csn(), tm_, &metrics);
+  auto result = ParallelScan(table, pred.get(), r->id(), r->snapshot_csn(),
+                             tm_, /*pool=*/nullptr, &metrics);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 6u);
   // 8 zones of 8 rows; only the zone covering 48..55 survives pruning.

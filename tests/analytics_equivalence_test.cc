@@ -134,9 +134,9 @@ struct OpCapture {
 /// toggle is the only variable).
 OpCapture RunOp(IdaaSystem& system, bool batch_path, const std::string& call,
                 const std::vector<std::string>& outputs) {
-  system.accelerator().SetBatchPathEnabled(batch_path);
+  system.accelerator().SetAnalyticsBatchPathEnabled(batch_path);
   auto rs = system.Query(call);
-  system.accelerator().SetBatchPathEnabled(true);
+  system.accelerator().SetAnalyticsBatchPathEnabled(true);
   EXPECT_TRUE(rs.ok()) << call << ": " << rs.status().ToString();
   OpCapture cap;
   if (!rs.ok()) return cap;
@@ -333,7 +333,7 @@ TEST_F(AnalyticsEquivalenceTest, NonNumericErrorsSurviveBatchPath) {
   // Error surface parity: a VARCHAR feature column must produce the serial
   // path's error text with the batch path enabled.
   for (bool batch : {true, false}) {
-    system_.accelerator().SetBatchPathEnabled(batch);
+    system_.accelerator().SetAnalyticsBatchPathEnabled(batch);
     auto rs = system_.Query(
         "CALL IDAA.KMEANS('input=feats', 'output=feats_k', "
         "'columns=x,cat', 'k=2')");
@@ -341,7 +341,7 @@ TEST_F(AnalyticsEquivalenceTest, NonNumericErrorsSurviveBatchPath) {
     EXPECT_NE(rs.status().message().find("not numeric"), std::string::npos)
         << rs.status().ToString();
   }
-  system_.accelerator().SetBatchPathEnabled(true);
+  system_.accelerator().SetAnalyticsBatchPathEnabled(true);
 }
 
 // -- determinism across thread counts ---------------------------------------

@@ -1,15 +1,17 @@
-// Tests for the vectorized batch execution engine: EXPLAIN ANALYZE must
-// report batch_path=true (with morsel/batch/selectivity accounting) for the
-// simple-predicate scan and aggregate shapes the batch compiler accepts, and
-// batch_path=false for the row-at-a-time fallback shapes; the batch path
-// must return exactly the row path's results across morsel/zone boundary
+// Tests for the vectorized batch execution engine, the accelerator's only
+// SELECT path: EXPLAIN ANALYZE must report batch_path=true (with
+// morsel/batch/selectivity accounting) for scan and aggregate shapes, and
+// the residual step for predicates that are not exact column-range
+// conjunctions; results must equal DB2's across morsel/zone boundary
 // configurations, dictionary-encoded VARCHAR predicates, early-LIMIT stops
 // and uncommitted own writes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/string_util.h"
@@ -18,9 +20,9 @@
 namespace idaa {
 namespace {
 
-/// The differentials below re-run the same SELECT with only the batch path
-/// toggled; the result cache would serve the re-run from the first
-/// execution and make the comparison vacuous, so it stays off here.
+/// The differentials below re-run the same SELECT under different routing;
+/// the result cache would serve the re-run from the first execution and
+/// make the comparison vacuous, so it stays off here.
 federation::ExecOptions NoResultCache() {
   federation::ExecOptions opts;
   opts.use_result_cache = false;
@@ -156,31 +158,35 @@ TEST(BatchEngineTest, ExplainAnalyzeReportsBatchPathForAggregate) {
 TEST(BatchEngineTest, ExplainAnalyzeReportsFallbackForComplexPredicate) {
   IdaaSystem system(SmallBatchOptions());
   SeedOrders(system, 100);
-  // LIKE is not a column/op/literal conjunct, so the batch compiler rejects
-  // it and the row-at-a-time path runs.
+  // LIKE is not a column/op/literal conjunct: the morsel scan still runs
+  // and the residual step evaluates the predicate per materialized row.
   auto rs = system.Query(
       "EXPLAIN ANALYZE SELECT id FROM orders WHERE region LIKE 'N%'");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   auto rows = StageRows(*rs);
-  EXPECT_FALSE(HasAttr(rows, "accel.batch_scan", "batch_path=true"));
-  EXPECT_TRUE(HasAttr(rows, "accel.slice_scan", "batch_path=false"));
+  EXPECT_TRUE(HasAttr(rows, "accel.batch_scan", "batch_path=true"));
+  EXPECT_TRUE(HasAttr(rows, "accel.batch_scan", "residual=true"));
+  EXPECT_EQ(SumAttr(rows, "accel.batch_scan", "residual_rejected_rows"), 75u);
+  EXPECT_FALSE(HasAttr(rows, "accel.slice_scan", "batch_path=false"));
 }
 
 TEST(BatchEngineTest, ExplainAnalyzeReportsFallbackWhenDisabled) {
+  // The only remaining batch switch picks the analytics operators' serial
+  // reference fits; SELECT execution never reads it.
   IdaaSystem system(SmallBatchOptions());
   SeedOrders(system, 100);
-  system.accelerator().SetBatchPathEnabled(false);
+  system.accelerator().SetAnalyticsBatchPathEnabled(false);
   auto rs = system.Query(
       "EXPLAIN ANALYZE SELECT region, SUM(amount) FROM orders "
       "GROUP BY region");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   auto rows = StageRows(*rs);
-  EXPECT_TRUE(HasAttr(rows, "accel.slice_aggregation", "batch_path=false"));
-  system.accelerator().SetBatchPathEnabled(true);
+  EXPECT_TRUE(HasAttr(rows, "accel.slice_aggregation", "batch_path=true"));
+  system.accelerator().SetAnalyticsBatchPathEnabled(true);
 }
 
 // ---------------------------------------------------------------------------
-// Batch path vs row path differential
+// Batch path vs DB2 differential
 // ---------------------------------------------------------------------------
 
 class BatchDifferentialTest : public ::testing::Test {
@@ -197,8 +203,7 @@ class BatchDifferentialTest : public ::testing::Test {
     SeedOrders(*system_, 200, /*aot=*/true);
   }
 
-  /// Runs `sql` with the batch path on and off; both accelerator runs and
-  /// the DB2 reference must agree.
+  /// Runs `sql` on DB2 and on the accelerator; the results must agree.
   void ExpectSame(const std::string& sql) {
     bool ordered = ToUpper(sql).find("ORDER BY") != std::string::npos;
     system_->SetAccelerationMode(federation::AccelerationMode::kNone);
@@ -206,20 +211,11 @@ class BatchDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(db2.ok()) << sql << "\n" << db2.status().ToString();
 
     system_->SetAccelerationMode(federation::AccelerationMode::kEligible);
-    system_->accelerator().SetBatchPathEnabled(true);
     auto batch = system_->Execute(sql, NoResultCache());
     ASSERT_TRUE(batch.ok()) << sql << "\n" << batch.status().ToString();
     EXPECT_EQ(batch->routed_to, federation::Target::kAccelerator) << sql;
 
-    system_->accelerator().SetBatchPathEnabled(false);
-    auto row = system_->Execute(sql, NoResultCache());
-    system_->accelerator().SetBatchPathEnabled(true);
-    ASSERT_TRUE(row.ok()) << sql << "\n" << row.status().ToString();
-
     EXPECT_EQ(CanonicalRows(db2->rows, ordered),
-              CanonicalRows(batch->rows, ordered))
-        << sql;
-    EXPECT_EQ(CanonicalRows(row->rows, ordered),
               CanonicalRows(batch->rows, ordered))
         << sql;
   }
@@ -294,29 +290,39 @@ TEST_F(BatchDifferentialTest, AggregationShapes) {
 
 TEST_F(BatchDifferentialTest, LimitEarlyStopIsDeterministic) {
   SeedSmall();
-  // Late materialization + early stop: the batch path must return the same
-  // first-N rows (in slice-concatenation order) as the fallback, every time.
-  for (int rep = 0; rep < 5; ++rep) {
-    for (const char* sql : {
-             "SELECT id FROM orders LIMIT 10",
-             "SELECT id FROM orders WHERE id >= 20 LIMIT 7",
-             "SELECT id, amount FROM orders WHERE region = 'WEST' LIMIT 3",
-             "SELECT id FROM orders LIMIT 0",
-             "SELECT id FROM orders WHERE id < 5 LIMIT 100",
-         }) {
-      system_->SetAccelerationMode(federation::AccelerationMode::kEligible);
-      system_->accelerator().SetBatchPathEnabled(true);
-      auto batch = system_->Execute(sql, NoResultCache());
-      ASSERT_TRUE(batch.ok()) << sql;
-      system_->accelerator().SetBatchPathEnabled(false);
-      auto row = system_->Execute(sql, NoResultCache());
-      system_->accelerator().SetBatchPathEnabled(true);
-      ASSERT_TRUE(row.ok()) << sql;
+  // Late materialization + early stop: the batch path must return the
+  // first N rows (in slice-concatenation order) of the same query without
+  // LIMIT, every time, and that unlimited query must equal DB2's answer.
+  // Residual predicates (OR, LIKE) count rows after the residual step.
+  struct Case {
+    const char* unlimited;
+    int limit;
+  };
+  for (const Case& c : {
+           Case{"SELECT id FROM orders", 10},
+           Case{"SELECT id FROM orders WHERE id >= 20", 7},
+           Case{"SELECT id, amount FROM orders WHERE region = 'WEST'", 3},
+           Case{"SELECT id FROM orders", 0},
+           Case{"SELECT id FROM orders WHERE id < 5", 100},
+           Case{"SELECT id FROM orders WHERE id < 3 OR id > 150", 6},
+           Case{"SELECT id, region FROM orders WHERE region LIKE '%TH'", 9},
+       }) {
+    ExpectSame(c.unlimited);
+    system_->SetAccelerationMode(federation::AccelerationMode::kEligible);
+    auto all = system_->Execute(c.unlimited, NoResultCache());
+    ASSERT_TRUE(all.ok()) << c.unlimited;
+    std::vector<std::string> prefix =
+        CanonicalRows(all->rows, /*keep_order=*/true);
+    prefix.resize(std::min<size_t>(prefix.size(), c.limit));
+    const std::string sql =
+        std::string(c.unlimited) + StrFormat(" LIMIT %d", c.limit);
+    for (int rep = 0; rep < 5; ++rep) {
+      auto limited = system_->Execute(sql, NoResultCache());
+      ASSERT_TRUE(limited.ok()) << sql;
       // keep_order: LIMIT without ORDER BY is only deterministic because
-      // both paths emit rows in slice order — that is the property under
+      // the scan emits rows in slice order — that is the property under
       // test.
-      EXPECT_EQ(CanonicalRows(row->rows, /*keep_order=*/true),
-                CanonicalRows(batch->rows, /*keep_order=*/true))
+      EXPECT_EQ(prefix, CanonicalRows(limited->rows, /*keep_order=*/true))
           << sql << " rep " << rep;
     }
   }
@@ -386,8 +392,8 @@ TEST_F(BatchDifferentialTest, SingleRowAndEmptyTables) {
 
 // Mixed-type literal comparisons: the compiled predicate must mirror
 // Value::Compare's cross-type rules (int column vs double literal) and its
-// incomparable-pair rejections (int column vs varchar literal drops rows on
-// the row path — batch must agree).
+// incomparable-pair rejections (int column vs varchar literal drops rows in
+// DB2 — the batch path must agree).
 TEST_F(BatchDifferentialTest, CrossTypeLiteralComparisons) {
   SeedSmall();
   for (const char* sql : {
@@ -399,9 +405,8 @@ TEST_F(BatchDifferentialTest, CrossTypeLiteralComparisons) {
   }
 }
 
-// Join shapes through the batch-native hash join: every query runs on DB2,
-// the batch join, and the row-path JoinIterator fallback, and all three
-// must return identical rows. The dimension table is replicated so DB2 can
+// Join shapes through the batch-native hash join: every query runs on DB2
+// and on the accelerator, and both must return identical rows. The dimension table is replicated so DB2 can
 // answer too; duplicate keys, an unmatched key, and NULL keys are all
 // present in the seed data.
 TEST_F(BatchDifferentialTest, JoinShapesMatchRowPathAndDb2) {
@@ -447,6 +452,171 @@ TEST_F(BatchDifferentialTest, JoinShapesMatchRowPathAndDb2) {
     ExpectSame(sql);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Residual predicates on the morsel scan, DB2 as the oracle
+// ---------------------------------------------------------------------------
+
+/// {raw, encoded} x {1, 4 shards} x {1, 8 threads}: predicates that are not
+/// exact column-range conjunctions run on the morsel scan with the full
+/// predicate re-checked per materialized row (the residual step). Every
+/// shape must equal DB2, including the error a failing residual raises.
+class ResidualPredicateTest
+    : public ::testing::TestWithParam<std::tuple<bool, size_t, size_t>> {
+ protected:
+  void SetUp() override {
+    SystemOptions options = SmallBatchOptions();
+    options.accelerator.enable_encoding = std::get<0>(GetParam());
+    options.accelerator_shards = std::get<1>(GetParam());
+    options.accelerator.num_threads = std::get<2>(GetParam());
+    system_ = std::make_unique<IdaaSystem>(options);
+    ASSERT_TRUE(system_
+                    ->Execute("CREATE TABLE orders (id INT NOT NULL, cust "
+                              "INT, amount DOUBLE, region VARCHAR) "
+                              "DISTRIBUTE BY (cust)")
+                    .ok());
+    static const char* kRegions[] = {"NORTH", "SOUTH", "EAST", "WEST"};
+    std::string insert = "INSERT INTO orders VALUES ";
+    for (int i = 0; i < 240; ++i) {
+      if (i != 0) insert += ", ";
+      const std::string amount =
+          i % 11 == 0 ? "NULL" : StrFormat("%d.25", (i * 37) % 1000);
+      const std::string cust =
+          i % 17 == 5 ? "NULL" : StrFormat("%d", i % 23);
+      insert += StrFormat("(%d, %s, %s, '%s')", i, cust.c_str(),
+                          amount.c_str(), kRegions[(i / 8) % 4]);
+    }
+    ASSERT_TRUE(system_->Execute(insert).ok());
+    ASSERT_TRUE(
+        system_->Execute("CALL SYSPROC.ACCEL_ADD_TABLES('orders')").ok());
+    ASSERT_TRUE(system_->replication().Flush().ok());
+    // Encoded arm: GROOM compacts the full zones; raw arm: GROOM runs too,
+    // but with encoding off it leaves every zone flat.
+    ASSERT_TRUE(system_->Execute("CALL SYSPROC.ACCEL_GROOM()").ok());
+  }
+
+  Result<federation::StatementResult> Run(const std::string& sql,
+                                          federation::AccelerationMode mode) {
+    system_->SetAccelerationMode(mode);
+    return system_->Execute(sql, NoResultCache());
+  }
+
+  std::unique_ptr<IdaaSystem> system_;
+};
+
+const char* kResidualShapes[] = {
+    // OR of ranges: no exact conjunction.
+    "SELECT id, amount FROM orders WHERE id < 10 OR cust = 7",
+    // IN list plus an exact range conjunct (the range still prunes).
+    "SELECT id FROM orders WHERE region IN ('NORTH', 'EAST') AND id > 50",
+    "SELECT id, region FROM orders WHERE region LIKE '%TH'",
+    // Arithmetic over a column.
+    "SELECT id FROM orders WHERE amount * 2 > 900.0 AND id >= 30",
+    "SELECT id FROM orders WHERE amount IS NULL",
+    "SELECT id, cust FROM orders WHERE cust IS NULL OR amount IS NULL",
+    "SELECT id FROM orders WHERE CASE WHEN cust > 10 THEN amount ELSE 0.0 "
+    "END > 400.0",
+    "SELECT id FROM orders WHERE NOT (id BETWEEN 20 AND 200)",
+};
+
+TEST_P(ResidualPredicateTest, ResidualShapesMatchDb2) {
+  for (const char* sql : kResidualShapes) {
+    SCOPED_TRACE(sql);
+    auto db2 = Run(sql, federation::AccelerationMode::kNone);
+    ASSERT_TRUE(db2.ok()) << db2.status().ToString();
+    auto accel = Run(sql, federation::AccelerationMode::kEligible);
+    ASSERT_TRUE(accel.ok()) << accel.status().ToString();
+    EXPECT_EQ(accel->routed_to, federation::Target::kAccelerator);
+    EXPECT_EQ(CanonicalRows(db2->rows, false),
+              CanonicalRows(accel->rows, false));
+
+    // The morsel scan runs the shape and reports its residual step.
+    auto explained = Run(std::string("EXPLAIN ANALYZE ") + sql,
+                         federation::AccelerationMode::kEligible);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    auto stages = StageRows(explained->rows);
+    EXPECT_TRUE(HasAttr(stages, "accel.batch_scan", "batch_path=true"));
+    EXPECT_TRUE(HasAttr(stages, "accel.batch_scan", "residual=true"));
+  }
+}
+
+TEST_P(ResidualPredicateTest, ResidualAggregationsMatchDb2) {
+  // A residual keeps the aggregation off the slices: it runs at the
+  // coordinator over the morsel scan's surviving rows.
+  for (const char* sql : {
+           "SELECT region, COUNT(*), SUM(amount) FROM orders "
+           "WHERE id % 3 = 0 GROUP BY region",
+           "SELECT COUNT(*), MIN(amount), MAX(amount) FROM orders "
+           "WHERE region LIKE 'S%' OR amount IS NULL",
+           "SELECT cust, COUNT(*) FROM orders WHERE cust IN (1, 2, 3) "
+           "GROUP BY cust",
+       }) {
+    SCOPED_TRACE(sql);
+    auto db2 = Run(sql, federation::AccelerationMode::kNone);
+    ASSERT_TRUE(db2.ok()) << db2.status().ToString();
+    auto accel = Run(sql, federation::AccelerationMode::kEligible);
+    ASSERT_TRUE(accel.ok()) << accel.status().ToString();
+    EXPECT_EQ(CanonicalRows(db2->rows, false),
+              CanonicalRows(accel->rows, false));
+    auto explained = Run(std::string("EXPLAIN ANALYZE ") + sql,
+                         federation::AccelerationMode::kEligible);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    auto stages = StageRows(explained->rows);
+    EXPECT_TRUE(HasAttr(stages, "accel.batch_scan", "residual=true"));
+    for (const StageRow& stage : stages) {
+      EXPECT_EQ(stage.stage.find("accel.slice_aggregation"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST_P(ResidualPredicateTest, LimitCountsRowsAfterResidual) {
+  const std::string where = "WHERE id < 12 OR region LIKE 'W%'";
+  auto db2 = Run("SELECT id, region FROM orders " + where,
+                 federation::AccelerationMode::kNone);
+  ASSERT_TRUE(db2.ok()) << db2.status().ToString();
+  const std::vector<std::string> all = CanonicalRows(db2->rows, false);
+  ASSERT_GT(all.size(), 20u);
+  for (size_t limit : {size_t{5}, size_t{20}, all.size() + 10}) {
+    SCOPED_TRACE(limit);
+    auto accel = Run(StrFormat("SELECT id, region FROM orders %s LIMIT %zu",
+                               where.c_str(), limit),
+                     federation::AccelerationMode::kEligible);
+    ASSERT_TRUE(accel.ok()) << accel.status().ToString();
+    // Exactly min(limit, matches) rows, every one a DB2 match.
+    const std::vector<std::string> got = CanonicalRows(accel->rows, false);
+    EXPECT_EQ(got.size(), std::min(limit, all.size()));
+    for (const std::string& row : got) {
+      EXPECT_TRUE(std::binary_search(all.begin(), all.end(), row)) << row;
+    }
+  }
+}
+
+TEST_P(ResidualPredicateTest, ResidualErrorMatchesDb2) {
+  // cust = 7 rows divide by zero in the residual on both engines.
+  for (const char* sql : {
+           "SELECT id FROM orders WHERE 100 / (cust - 7) > 5",
+           "SELECT COUNT(*) FROM orders WHERE id > 3 AND 100 / (cust - 7) > 5",
+       }) {
+    SCOPED_TRACE(sql);
+    auto db2 = Run(sql, federation::AccelerationMode::kNone);
+    ASSERT_FALSE(db2.ok());
+    auto accel = Run(sql, federation::AccelerationMode::kAll);
+    ASSERT_FALSE(accel.ok());
+    EXPECT_EQ(accel.status().code(), db2.status().code());
+    EXPECT_EQ(accel.status().message(), db2.status().message());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EncodingShardsThreads, ResidualPredicateTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values<size_t>(1, 4),
+                       ::testing::Values<size_t>(1, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, size_t, size_t>>& p) {
+      return std::string(std::get<0>(p.param) ? "encoded" : "raw") + "_s" +
+             std::to_string(std::get<1>(p.param)) + "_t" +
+             std::to_string(std::get<2>(p.param));
+    });
 
 }  // namespace
 }  // namespace idaa

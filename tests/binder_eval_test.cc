@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "catalog/catalog.h"
 #include "sql/binder.h"
 #include "sql/expression_eval.h"
@@ -214,6 +216,11 @@ struct EvalCase {
   const char* expr;
   Value expected;
 };
+
+// Prints the case as its SQL text. Without this gtest falls back to a byte
+// dump of the struct, which embeds the `expr` pointer and so gives the
+// discovered ctest names a different spelling on every build.
+void PrintTo(const EvalCase& c, std::ostream* os) { *os << c.expr; }
 
 class EvalTest : public ::testing::TestWithParam<EvalCase> {};
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "db2/db2_engine.h"
 #include "federation/transfer_channel.h"
@@ -159,6 +160,54 @@ TEST(Db2EngineTest, RollbackUndoesAllDmlKinds) {
   ASSERT_EQ(rs->NumRows(), 2u);
   EXPECT_EQ(rs->At(0, 1).AsVarchar(), "one");  // update undone
   EXPECT_EQ(rs->At(1, 0).AsInteger(), 2);      // delete undone
+}
+
+// Searched UPDATE/DELETE scan every live row: db2.rows_scanned must rise
+// by the rows examined, not by the rows changed.
+TEST(Db2EngineTest, SearchedUpdateAndDeleteCountRowsScanned) {
+  IdaaSystem system;
+  ASSERT_TRUE(system.Execute("CREATE TABLE t (a INT, b INT)").ok());
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 50; ++i) {
+    if (i != 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", 0)";
+  }
+  ASSERT_TRUE(system.Execute(insert).ok());
+
+  MetricsDelta update(system.metrics());
+  auto updated = system.Execute("UPDATE t SET b = b + 1 WHERE a % 10 = 3");
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated->rows_affected, 5u);
+  EXPECT_EQ(update.Delta(metric::kDb2RowsScanned), 50u);
+
+  MetricsDelta deleted(system.metrics());
+  ASSERT_TRUE(system.Execute("DELETE FROM t WHERE a < 5").ok());
+  EXPECT_EQ(deleted.Delta(metric::kDb2RowsScanned), 50u);
+
+  MetricsDelta after_delete(system.metrics());
+  ASSERT_TRUE(system.Execute("UPDATE t SET b = 0").ok());
+  EXPECT_EQ(after_delete.Delta(metric::kDb2RowsScanned), 45u);
+}
+
+// The WHERE clause is evaluated over every live row before any row
+// changes, so an error partway through the scan leaves the table as it
+// was even inside an open transaction.
+TEST(Db2EngineTest, SearchedUpdateErrorChangesNoRows) {
+  IdaaSystem system;
+  ASSERT_TRUE(system.Execute("CREATE TABLE t (a INT, b INT)").ok());
+  ASSERT_TRUE(
+      system.Execute("INSERT INTO t VALUES (1, 0), (2, 0), (3, 0), (4, 0)")
+          .ok());
+  ASSERT_TRUE(system.Begin().ok());
+  auto updated = system.Execute("UPDATE t SET b = 1 WHERE 10 / (a - 3) < 0");
+  ASSERT_FALSE(updated.ok());
+  EXPECT_NE(updated.status().message().find("division by zero"),
+            std::string::npos)
+      << updated.status().ToString();
+  auto changed = system.Query("SELECT COUNT(*) FROM t WHERE b = 1");
+  ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+  EXPECT_EQ(changed->At(0, 0).AsInteger(), 0);
+  ASSERT_TRUE(system.Rollback().ok());
 }
 
 TEST(Db2EngineTest, ExplicitTransactionCommitPersists) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,11 +408,11 @@ TEST(ConcurrentStressTest, ParallelAnalyticsSessionsShareInputsWithWriters) {
       "CALL IDAA.KMEANS('input=feats', 'output=final_k', 'columns=x,y', "
       "'k=3', 'seed=9')");
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  system.accelerator().SetBatchPathEnabled(false);
+  system.accelerator().SetAnalyticsBatchPathEnabled(false);
   auto serial = system.Query(
       "CALL IDAA.KMEANS('input=feats', 'output=final_k', 'columns=x,y', "
       "'k=3', 'seed=9')");
-  system.accelerator().SetBatchPathEnabled(true);
+  system.accelerator().SetAnalyticsBatchPathEnabled(true);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_EQ(batch->NumRows(), 1u);
   ASSERT_EQ(serial->NumRows(), 1u);
@@ -766,26 +767,61 @@ TEST(ConcurrentStressTest, ConcurrentJoinsSurviveGroomAndWriters) {
   stop.store(true);
   threads.back().join();
 
-  // Quiesced differential: batch join and the row-path fallback agree on
-  // the final state, on both the INT-keyed and the VARCHAR-keyed joins.
+  // Quiesced differential against DB2: copy the final accelerator-only
+  // state into DB2 tables, then both engines must agree on the INT-keyed
+  // and the VARCHAR-keyed joins.
+  for (const auto& [table, columns] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"jfact", "id INT NOT NULL, dk INT, dn VARCHAR, v DOUBLE"},
+           {"jdim", "k INT NOT NULL, g VARCHAR"},
+           {"jname", "n VARCHAR NOT NULL, label VARCHAR"}}) {
+    ASSERT_TRUE(system
+                    .Execute("CREATE TABLE " + table + "_db2 (" + columns +
+                             ")")
+                    .ok());
+    auto rows = system.Query("SELECT * FROM " + table);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    for (const Row& row : rows->rows()) {
+      std::string values;
+      for (const Value& v : row) {
+        if (!values.empty()) values += ", ";
+        if (v.is_varchar()) {
+          values += "'" + v.AsVarchar() + "'";
+        } else if (v.is_double()) {
+          values += StrFormat("%.17g", v.AsDouble());
+        } else {
+          values += v.ToString();
+        }
+      }
+      ASSERT_TRUE(system
+                      .Execute("INSERT INTO " + table + "_db2 VALUES (" +
+                               values + ")")
+                      .ok());
+    }
+  }
+  const std::regex kAotTables("\\b(jfact|jdim|jname)\\b");
   const std::vector<std::string> differential_queries = {
       "SELECT d.g, COUNT(*), SUM(f.v) FROM jfact f "
       "JOIN jdim d ON f.dk = d.k GROUP BY d.g ORDER BY d.g",
       "SELECT n.label, COUNT(*), SUM(f.v) FROM jfact f "
       "JOIN jname n ON f.dn = n.n GROUP BY n.label ORDER BY n.label"};
   for (const std::string& query : differential_queries) {
-    auto batch = system.Query(query);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    system.accelerator().SetBatchPathEnabled(false);
-    auto row_path = system.Query(query);
-    system.accelerator().SetBatchPathEnabled(true);
-    ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
-    ASSERT_EQ(batch->NumRows(), row_path->NumRows()) << query;
-    for (size_t r = 0; r < batch->NumRows(); ++r) {
-      EXPECT_EQ(batch->At(r, 0).AsVarchar(), row_path->At(r, 0).AsVarchar());
-      EXPECT_EQ(batch->At(r, 1).AsInteger(), row_path->At(r, 1).AsInteger());
-      EXPECT_DOUBLE_EQ(batch->At(r, 2).AsDouble(),
-                       row_path->At(r, 2).AsDouble());
+    auto accel = system.Execute(query);
+    ASSERT_TRUE(accel.ok()) << accel.status().ToString();
+    EXPECT_EQ(accel->routed_to, federation::Target::kAccelerator) << query;
+    const std::string db2_query =
+        std::regex_replace(query, kAotTables, "$1_db2");
+    auto db2 = system.Execute(db2_query);
+    ASSERT_TRUE(db2.ok()) << db2.status().ToString();
+    EXPECT_EQ(db2->routed_to, federation::Target::kDb2) << db2_query;
+    ASSERT_EQ(accel->rows.NumRows(), db2->rows.NumRows()) << query;
+    for (size_t r = 0; r < accel->rows.NumRows(); ++r) {
+      EXPECT_EQ(accel->rows.At(r, 0).AsVarchar(),
+                db2->rows.At(r, 0).AsVarchar());
+      EXPECT_EQ(accel->rows.At(r, 1).AsInteger(),
+                db2->rows.At(r, 1).AsInteger());
+      EXPECT_DOUBLE_EQ(accel->rows.At(r, 2).AsDouble(),
+                       db2->rows.At(r, 2).AsDouble());
     }
   }
 }

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <regex>
+#include <string>
 #include <thread>
 
 #include "accel/sharded_accelerator.h"
@@ -82,20 +84,11 @@ TEST_P(ConvergenceFuzz, ReplicaMatchesDb2AfterRandomDml) {
   ASSERT_TRUE(accel.ok());
   EXPECT_EQ(CanonicalRows(*db2), CanonicalRows(*accel))
       << "seed " << GetParam();
-  // The vectorized batch path and the row-at-a-time fallback must agree
-  // on the replica contents too.
-  system.accelerator().SetBatchPathEnabled(false);
-  auto row_path = system.Query("SELECT id, grp, v FROM t");
-  system.accelerator().SetBatchPathEnabled(true);
-  ASSERT_TRUE(row_path.ok());
-  EXPECT_EQ(CanonicalRows(*accel), CanonicalRows(*row_path))
-      << "seed " << GetParam();
 }
 
 // Differential harness: on a randomized schema with NULL-riddled data, the
-// vectorized batch engine, the row-at-a-time accelerator fallback and DB2
-// must return identical results for randomized predicate / aggregation /
-// DISTINCT queries.
+// accelerator's vectorized batch engine and DB2 must return identical
+// results for randomized predicate / aggregation / DISTINCT queries.
 TEST_P(ConvergenceFuzz, BatchAndRowPathsAgreeOnRandomSchemas) {
   Rng rng(GetParam() + 5000);
   SystemOptions options;
@@ -188,39 +181,42 @@ TEST_P(ConvergenceFuzz, BatchAndRowPathsAgreeOnRandomSchemas) {
     system.SetAccelerationMode(federation::AccelerationMode::kEligible);
     auto batch = system.Query(sql);
     ASSERT_TRUE(batch.ok()) << sql << ": " << batch.status().ToString();
-    system.accelerator().SetBatchPathEnabled(false);
-    auto row_path = system.Query(sql);
-    system.accelerator().SetBatchPathEnabled(true);
-    ASSERT_TRUE(row_path.ok()) << sql << ": " << row_path.status().ToString();
     EXPECT_EQ(CanonicalRows(*db2), CanonicalRows(*batch))
         << "seed " << GetParam() << ": " << sql;
-    EXPECT_EQ(CanonicalRows(*row_path), CanonicalRows(*batch))
-        << "batch vs row path, seed " << GetParam() << ": " << sql;
   }
 }
 
 // Mid-transaction reads on an accelerator-only table: own uncommitted
-// inserts/deletes must be visible identically on the batch and row paths.
+// inserts/deletes must be visible on the accelerator exactly as DB2 shows
+// them on a DB2 twin table that receives the same statements in the same
+// transaction.
 TEST_P(ConvergenceFuzz, UncommittedWritesAgreeOnBothPaths) {
   SystemOptions options;
   options.accelerator.num_slices = 2;
   options.accelerator.zone_size = 16;
   options.accelerator.morsel_size = 32;
   IdaaSystem system(options);
+  const std::regex kTable("\\bu\\b");
+  auto twin = [&kTable](const std::string& sql) {
+    return std::regex_replace(sql, kTable, "u_db2");
+  };
   ASSERT_TRUE(system
                   .Execute("CREATE TABLE u (id INT NOT NULL, v INT, "
                               "w VARCHAR) IN ACCELERATOR")
+                  .ok());
+  ASSERT_TRUE(system
+                  .Execute("CREATE TABLE u_db2 (id INT NOT NULL, v INT, "
+                           "w VARCHAR)")
                   .ok());
   Rng rng(GetParam() + 9000);
   static const char* kWords[] = {"A", "B", "C"};
   int next_id = 0;
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(system
-                    .Execute(StrFormat("INSERT INTO u VALUES (%d, %d, "
-                                          "'%s')",
-                                          next_id++, (int)rng.Uniform(0, 9),
-                                          kWords[rng.Uniform(0, 2)]))
-                    .ok());
+    const std::string sql =
+        StrFormat("INSERT INTO u VALUES (%d, %d, '%s')", next_id++,
+                  (int)rng.Uniform(0, 9), kWords[rng.Uniform(0, 2)]);
+    ASSERT_TRUE(system.Execute(sql).ok()) << sql;
+    ASSERT_TRUE(system.Execute(twin(sql)).ok()) << twin(sql);
   }
   ASSERT_TRUE(system.Begin().ok());
   for (int op = 0; op < 12; ++op) {
@@ -236,6 +232,7 @@ TEST_P(ConvergenceFuzz, UncommittedWritesAgreeOnBothPaths) {
                       (int)rng.Uniform(0, 9));
     }
     ASSERT_TRUE(system.Execute(sql).ok()) << sql;
+    ASSERT_TRUE(system.Execute(twin(sql)).ok()) << twin(sql);
 
     // Compare mid-transaction on every mutation.
     for (const char* probe :
@@ -244,11 +241,9 @@ TEST_P(ConvergenceFuzz, UncommittedWritesAgreeOnBothPaths) {
           "SELECT COUNT(*) FROM u"}) {
       auto batch = system.Query(probe);
       ASSERT_TRUE(batch.ok()) << probe;
-      system.accelerator().SetBatchPathEnabled(false);
-      auto row_path = system.Query(probe);
-      system.accelerator().SetBatchPathEnabled(true);
-      ASSERT_TRUE(row_path.ok()) << probe;
-      EXPECT_EQ(CanonicalRows(*row_path), CanonicalRows(*batch))
+      auto db2 = system.Query(twin(probe));
+      ASSERT_TRUE(db2.ok()) << twin(probe);
+      EXPECT_EQ(CanonicalRows(*db2), CanonicalRows(*batch))
           << "seed " << GetParam() << " op " << op << ": " << probe;
     }
   }
@@ -405,7 +400,7 @@ TEST_P(ConvergenceFuzz, AnalyticsPipelineMatchesSerialUnderFaults) {
   // Clean reference: serial row path end to end, no faults, no load.
   IdaaSystem reference;
   setup(reference);
-  reference.accelerator().SetBatchPathEnabled(false);
+  reference.accelerator().SetAnalyticsBatchPathEnabled(false);
   std::vector<std::string> ref_summaries;
   for (const std::string& call : calls) {
     auto rs = reference.Query(call);
@@ -679,8 +674,8 @@ TEST_P(ConvergenceFuzz, RollbackRestoresBothEngines) {
 // of accelerator/channel crossings fail with retryable faults and a writer
 // keeps replication busy. For every query shape (inner / left-outer / cross,
 // INT and dictionary-coded VARCHAR keys, residual non-equi conjuncts,
-// GROUP BY through the join) the batch hash join, the row-path join and the
-// DB2 reference must return identical rows; transient faults may only delay
+// GROUP BY through the join) the accelerator's join and the DB2 reference
+// must return identical rows; transient faults may only delay
 // an answer, never change it.
 TEST_P(ConvergenceFuzz, JoinPipelinesAgreeUnderFaults) {
   Rng rng(GetParam() + 9000);
@@ -809,14 +804,8 @@ TEST_P(ConvergenceFuzz, JoinPipelinesAgreeUnderFaults) {
     system.SetAccelerationMode(federation::AccelerationMode::kNone);
     auto db2 = query_with_retry(sql);
     system.SetAccelerationMode(federation::AccelerationMode::kEligible);
-    system.accelerator().SetBatchPathEnabled(true);
     auto batch = query_with_retry(sql);
-    system.accelerator().SetBatchPathEnabled(false);
-    auto row_path = query_with_retry(sql);
-    system.accelerator().SetBatchPathEnabled(true);
     EXPECT_EQ(db2, batch) << "seed " << GetParam() << ": " << sql;
-    EXPECT_EQ(row_path, batch)
-        << "batch vs row path, seed " << GetParam() << ": " << sql;
   }
   stop.store(true);
   writer.join();

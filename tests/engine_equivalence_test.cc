@@ -103,10 +103,8 @@ class EquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(flushed.ok());
   }
 
-  /// Runs the query on both engines — and on the accelerator a second time
-  /// with the vectorized batch path disabled — and expects identical
-  /// results from all three. Every query in the suite is therefore also a
-  /// batch-vs-row-at-a-time differential.
+  /// Runs the query on both engines and expects identical results: DB2 is
+  /// the oracle for the accelerator's single (morsel/batch) SELECT path.
   void ExpectEquivalent(const std::string& sql) {
     bool ordered = ToUpper(sql).find("ORDER BY") != std::string::npos;
 
@@ -120,18 +118,9 @@ class EquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(accel.ok()) << sql << "\nACCEL: " << accel.status().ToString();
     EXPECT_EQ(accel->routed_to, federation::Target::kAccelerator) << sql;
 
-    system_->accelerator().SetBatchPathEnabled(false);
-    auto row_path = system_->Execute(sql, NoResultCache());
-    system_->accelerator().SetBatchPathEnabled(true);
-    ASSERT_TRUE(row_path.ok())
-        << sql << "\nROW: " << row_path.status().ToString();
-
     EXPECT_EQ(Canonical(db2->rows, ordered),
               Canonical(accel->rows, ordered))
         << sql;
-    EXPECT_EQ(Canonical(row_path->rows, ordered),
-              Canonical(accel->rows, ordered))
-        << "batch path diverged from row path: " << sql;
     EXPECT_EQ(db2->rows.schema().NumColumns(),
               accel->rows.schema().NumColumns());
   }
@@ -214,8 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
         "JOIN orders o2 ON o2.id = o.id GROUP BY c.tier"));
 
 // Randomized predicate fuzzing: DB2 and accelerator must agree on 60
-// generated filters (exercises zone maps + vectorized scan paths against
-// the row-at-a-time reference).
+// generated filters (exercises zone maps, vectorized scans and the
+// residual step against DB2's row engine).
 TEST_F(EquivalenceTest, RandomPredicateFuzz) {
   Rng rng(777);
   const char* regions[] = {"NORTH", "SOUTH", "EAST", "WEST"};

@@ -151,6 +151,31 @@ TEST_F(ExplainTest, ReportsSliceAggregation) {
             std::string::npos);
 }
 
+// EXPLAIN and execution read one rule: a scan predicate that is not an
+// exact range conjunction needs the morsel scan's residual step, so the
+// aggregation runs at the coordinator — and EXPLAIN must say so.
+TEST_F(ExplainTest, ResidualScanPredicateAggregatesAtCoordinator) {
+  const char* sql =
+      "SELECT id, COUNT(*) FROM t WHERE id < 5 OR v > 2.0 GROUP BY id";
+  auto r = system_.Execute(std::string("EXPLAIN ") + sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(Aspect(r->rows, "AGGREGATION").find("computed at the coordinator"),
+            std::string::npos)
+      << Aspect(r->rows, "AGGREGATION");
+  auto analyzed = system_.Execute(std::string("EXPLAIN ANALYZE ") + sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  for (const Row& row : analyzed->rows.rows()) {
+    EXPECT_EQ(row[0].AsVarchar().find("accel.slice_aggregation"),
+              std::string::npos);
+  }
+  // The exact-range version of the same filter aggregates at the slices.
+  r = system_.Execute(
+      "EXPLAIN SELECT id, COUNT(*) FROM t WHERE id < 5 GROUP BY id");
+  ASSERT_TRUE(r.ok());
+  EXPECT_NE(Aspect(r->rows, "AGGREGATION").find("computed at the data slices"),
+            std::string::npos);
+}
+
 TEST_F(ExplainTest, ReportsIndexAccessOnDb2) {
   system_.SetAccelerationMode(AccelerationMode::kNone);
   auto r = system_.Execute("EXPLAIN SELECT v FROM t WHERE id = 1");

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/sharded_accelerator.h"
@@ -147,8 +148,7 @@ class ShardEquivalence : public ::testing::TestWithParam<size_t> {
                     .ok());
   }
 
-  /// DB2 ≡ 1-shard ≡ N-shard, plus an N-shard re-run with the vectorized
-  /// batch path off, all compared bit-identically.
+  /// DB2 ≡ 1-shard ≡ N-shard, all compared bit-identically.
   void ExpectThreeWay(const std::string& sql) {
     bool ordered = ToUpper(sql).find("ORDER BY") != std::string::npos;
 
@@ -168,19 +168,10 @@ class ShardEquivalence : public ::testing::TestWithParam<size_t> {
         << sql << "\nN-shard: " << many.status().ToString();
     EXPECT_EQ(many->routed_to, federation::Target::kAccelerator) << sql;
 
-    sharded_->accelerator().SetBatchPathEnabled(false);
-    auto row_path = sharded_->Execute(sql, NoResultCache());
-    sharded_->accelerator().SetBatchPathEnabled(true);
-    ASSERT_TRUE(row_path.ok())
-        << sql << "\nN-shard row path: " << row_path.status().ToString();
-
     EXPECT_EQ(Canonical(db2->rows, ordered), Canonical(many->rows, ordered))
         << "DB2 vs " << GetParam() << "-shard: " << sql;
     EXPECT_EQ(Canonical(one->rows, ordered), Canonical(many->rows, ordered))
         << "1-shard vs " << GetParam() << "-shard: " << sql;
-    EXPECT_EQ(Canonical(row_path->rows, ordered),
-              Canonical(many->rows, ordered))
-        << "batch path diverged from row path: " << sql;
     EXPECT_EQ(db2->rows.schema().NumColumns(),
               many->rows.schema().NumColumns())
         << sql;
@@ -407,6 +398,113 @@ TEST_P(ShardEquivalence, DistributionKeyUpdateRejectedOnAccelerator) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardEquivalence,
                          ::testing::Values<size_t>(1, 2, 4, 8));
+
+/// Stage names and detail text of an EXPLAIN ANALYZE result.
+std::vector<std::pair<std::string, std::string>> Stages(const ResultSet& rs) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const Row& row : rs.rows()) {
+    std::string stage = row[0].AsVarchar();
+    stage = stage.substr(stage.find_first_not_of(' '));
+    out.emplace_back(stage, row[2].is_null() ? "" : row[2].AsVarchar());
+  }
+  return out;
+}
+
+bool HasStageWith(const ResultSet& rs, const std::string& stage,
+                  const std::string& attr) {
+  for (const auto& [name, detail] : Stages(rs)) {
+    if (name == stage && detail.find(attr) != std::string::npos) return true;
+  }
+  return false;
+}
+
+// At 4 shards a star aggregate over a hash-partitioned fact table scatters
+// unfinalized partials that every shard computes in the batch join's
+// aggregate-mode probe against its broadcast dimension copies — no
+// row-at-a-time broadcast join — and equals DB2. A DOUBLE-keyed join,
+// which the batch join declines, still equals DB2 through the coordinator
+// join over row-gathered shard scans.
+TEST(ShardStarAggregateTest, FourShardStarAggregateUsesBatchJoinPartials) {
+  SystemOptions options;
+  options.accelerator_shards = 4;
+  IdaaSystem system(options);
+  ASSERT_TRUE(system
+                  .Execute("CREATE TABLE fact (id INT NOT NULL, k INT, "
+                           "amount DOUBLE) DISTRIBUTE BY (id)")
+                  .ok());
+  ASSERT_TRUE(
+      system.Execute("CREATE TABLE dim (k INT NOT NULL, tier VARCHAR)").ok());
+  ASSERT_TRUE(system
+                  .Execute("CREATE TABLE ddim (x DOUBLE NOT NULL, "
+                           "label VARCHAR)")
+                  .ok());
+  const char* tiers[] = {"GOLD", "SILVER", "BRONZE"};
+  for (int k = 0; k < 20; ++k) {
+    ASSERT_TRUE(system
+                    .Execute(StrFormat("INSERT INTO dim VALUES (%d, '%s')", k,
+                                       tiers[k % 3]))
+                    .ok());
+  }
+  for (int x = 0; x < 8; ++x) {
+    ASSERT_TRUE(system
+                    .Execute(StrFormat("INSERT INTO ddim VALUES (%.2f, 'x%d')",
+                                       x * 0.25, x))
+                    .ok());
+  }
+  std::string insert = "INSERT INTO fact VALUES ";
+  for (int i = 0; i < 400; ++i) {
+    if (i != 0) insert += ", ";
+    const std::string k = i % 31 == 0 ? "NULL" : std::to_string(i % 23);
+    insert += StrFormat("(%d, %s, %.2f)", i, k.c_str(), (i % 9) * 0.25);
+  }
+  ASSERT_TRUE(system.Execute(insert).ok());
+  for (const char* t : {"fact", "dim", "ddim"}) {
+    ASSERT_TRUE(system
+                    .Execute(std::string("CALL SYSPROC.ACCEL_ADD_TABLES('") +
+                             t + "')")
+                    .ok());
+  }
+  ASSERT_TRUE(system.replication().Flush().ok());
+
+  auto expect_db2 = [&system](const std::string& sql) {
+    system.SetAccelerationMode(federation::AccelerationMode::kNone);
+    auto db2 = system.Execute(sql, NoResultCache());
+    ASSERT_TRUE(db2.ok()) << db2.status().ToString();
+    system.SetAccelerationMode(federation::AccelerationMode::kEligible);
+    auto accel = system.Execute(sql, NoResultCache());
+    ASSERT_TRUE(accel.ok()) << accel.status().ToString();
+    EXPECT_EQ(accel->routed_to, federation::Target::kAccelerator);
+    EXPECT_EQ(Canonical(db2->rows, false), Canonical(accel->rows, false))
+        << sql;
+  };
+
+  const std::string star =
+      "SELECT d.tier, COUNT(*), SUM(f.amount) FROM fact f "
+      "JOIN dim d ON f.k = d.k GROUP BY d.tier";
+  expect_db2(star);
+  auto plan = system.Query("EXPLAIN ANALYZE " + star);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(
+      HasStageWith(*plan, "accel.shard_scatter", "strategy=partial_aggregate"));
+  EXPECT_TRUE(HasStageWith(*plan, "accel.batch_join_probe", "mode=aggregate"));
+  for (const auto& [name, detail] : Stages(*plan)) {
+    EXPECT_NE(name, "accel.slice_join");
+    EXPECT_NE(name, "accel.broadcast_dims");
+  }
+
+  const std::string double_keyed =
+      "SELECT d.label, COUNT(*) FROM fact f JOIN ddim d ON f.amount = d.x "
+      "GROUP BY d.label";
+  expect_db2(double_keyed);
+  auto declined = system.Query("EXPLAIN ANALYZE " + double_keyed);
+  ASSERT_TRUE(declined.ok()) << declined.status().ToString();
+  EXPECT_TRUE(
+      HasStageWith(*declined, "accel.shard_scatter", "strategy=row_gather"));
+  for (const auto& [name, detail] : Stages(*declined)) {
+    EXPECT_NE(name, "accel.batch_join_probe");
+    EXPECT_NE(name, "accel.slice_join");
+  }
+}
 
 }  // namespace
 }  // namespace idaa

@@ -1,12 +1,14 @@
 // Targeted tests for the accelerator star join (the batch-native hash join
-// and the slice broadcast fallback): duplicate dimension keys (cross
-// products), NULL join keys, left-outer padding, empty build sides,
-// dictionary-code VARCHAR keys spanning slices, transaction visibility
-// through the fast path, and batch = row = DB2 equivalence.
+// and the coordinator join for the shapes it declines): duplicate
+// dimension keys (cross products), NULL join keys, left-outer padding,
+// empty build sides, dictionary-code VARCHAR keys spanning slices,
+// transaction visibility through the fast path, and accelerator = DB2
+// equivalence.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -15,9 +17,8 @@
 namespace idaa {
 namespace {
 
-/// The agreement checks re-run the same SELECT with only the batch join
-/// toggled; the result cache would serve the re-run from the first
-/// execution and make the comparison vacuous, so it stays off here.
+/// The agreement checks re-run the same SELECT on DB2; the result cache
+/// stays off so every run really executes.
 federation::ExecOptions NoResultCache() {
   federation::ExecOptions opts;
   opts.use_result_cache = false;
@@ -38,70 +39,68 @@ std::vector<std::string> Canon(const ResultSet& rs, bool keep_order) {
   return lines;
 }
 
-/// Runs `sql` with the batch join on and off; both answers must match
-/// (bit-identical canonical rows). Works on accelerator-only tables.
-void ExpectBatchRowAgreement(IdaaSystem& system, const std::string& sql) {
-  const bool ordered = sql.find("ORDER BY") != std::string::npos;
-  system.accelerator().SetBatchPathEnabled(true);
-  auto batch = system.Execute(sql, NoResultCache());
-  ASSERT_TRUE(batch.ok()) << sql << "\n" << batch.status().ToString();
-  system.accelerator().SetBatchPathEnabled(false);
-  auto row = system.Execute(sql, NoResultCache());
-  system.accelerator().SetBatchPathEnabled(true);
-  ASSERT_TRUE(row.ok()) << sql << "\n" << row.status().ToString();
-  EXPECT_EQ(Canon(row->rows, ordered), Canon(batch->rows, ordered))
-      << sql;
+/// DB2 twin of a statement over the accelerator-only star: the same text
+/// over the `<table>_ref` DB2 tables that SliceJoinTest keeps in step.
+std::string Db2Twin(const std::string& sql) {
+  static const std::regex kTables("\\b(fact|dim|nodim)\\b");
+  std::string out = std::regex_replace(sql, kTables, "$1_ref");
+  const std::string kAot = " IN ACCELERATOR";
+  size_t pos = out.find(kAot);
+  if (pos != std::string::npos) out.erase(pos, kAot.size());
+  return out;
 }
 
-/// Runs `sql` on the batch join, the row-path join, and DB2; all three
-/// answers must match (bit-identical canonical rows). Requires replicated
-/// tables (a DB2 copy must exist).
-void ExpectThreeWayAgreement(IdaaSystem& system, const std::string& sql) {
+/// Runs `sql` over the accelerator-only tables and its twin over their DB2
+/// copies; both answers must match (bit-identical canonical rows).
+void ExpectMatchesDb2Twin(IdaaSystem& system, const std::string& sql) {
+  const bool ordered = sql.find("ORDER BY") != std::string::npos;
+  auto accel = system.Execute(sql, NoResultCache());
+  ASSERT_TRUE(accel.ok()) << sql << "\n" << accel.status().ToString();
+  EXPECT_EQ(accel->routed_to, federation::Target::kAccelerator) << sql;
+  auto db2 = system.Execute(Db2Twin(sql), NoResultCache());
+  ASSERT_TRUE(db2.ok()) << sql << "\n" << db2.status().ToString();
+  EXPECT_EQ(db2->routed_to, federation::Target::kDb2) << sql;
+  EXPECT_EQ(Canon(db2->rows, ordered), Canon(accel->rows, ordered)) << sql;
+}
+
+/// Runs `sql` on the accelerator and on DB2; both answers must match
+/// (bit-identical canonical rows). Requires replicated tables (a DB2 copy
+/// must exist).
+void ExpectMatchesDb2(IdaaSystem& system, const std::string& sql) {
   const bool ordered = sql.find("ORDER BY") != std::string::npos;
   system.SetAccelerationMode(federation::AccelerationMode::kNone);
   auto db2 = system.Execute(sql, NoResultCache());
   ASSERT_TRUE(db2.ok()) << sql << "\n" << db2.status().ToString();
 
   system.SetAccelerationMode(federation::AccelerationMode::kEligible);
-  system.accelerator().SetBatchPathEnabled(true);
-  auto batch = system.Execute(sql, NoResultCache());
-  ASSERT_TRUE(batch.ok()) << sql << "\n" << batch.status().ToString();
-  EXPECT_EQ(batch->routed_to, federation::Target::kAccelerator) << sql;
+  auto accel = system.Execute(sql, NoResultCache());
+  ASSERT_TRUE(accel.ok()) << sql << "\n" << accel.status().ToString();
+  EXPECT_EQ(accel->routed_to, federation::Target::kAccelerator) << sql;
 
-  system.accelerator().SetBatchPathEnabled(false);
-  auto row = system.Execute(sql, NoResultCache());
-  system.accelerator().SetBatchPathEnabled(true);
-  ASSERT_TRUE(row.ok()) << sql << "\n" << row.status().ToString();
-
-  EXPECT_EQ(Canon(db2->rows, ordered), Canon(batch->rows, ordered))
-      << sql;
-  EXPECT_EQ(Canon(row->rows, ordered), Canon(batch->rows, ordered))
+  EXPECT_EQ(Canon(db2->rows, ordered), Canon(accel->rows, ordered))
       << sql;
 }
 
+// Accelerator-only star; every statement also runs against DB2 twins of
+// the tables (see Both), so DB2 can serve as the reference.
 class SliceJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(system_
-                    .Execute("CREATE TABLE fact (id INT NOT NULL, k INT, "
-                                "v DOUBLE) IN ACCELERATOR")
-                    .ok());
-    ASSERT_TRUE(system_
-                    .Execute("CREATE TABLE dim (k INT, label VARCHAR) "
-                                "IN ACCELERATOR")
-                    .ok());
-    ASSERT_TRUE(system_
-                    .Execute("INSERT INTO fact VALUES (1, 10, 1.0), "
-                                "(2, 20, 2.0), (3, 10, 3.0), (4, NULL, 4.0), "
-                                "(5, 99, 5.0)")
-                    .ok());
+    Both("CREATE TABLE fact (id INT NOT NULL, k INT, v DOUBLE) "
+         "IN ACCELERATOR");
+    Both("CREATE TABLE dim (k INT, label VARCHAR) IN ACCELERATOR");
+    Both("INSERT INTO fact VALUES (1, 10, 1.0), (2, 20, 2.0), "
+         "(3, 10, 3.0), (4, NULL, 4.0), (5, 99, 5.0)");
     // Key 10 appears TWICE in the dimension (cross product expected);
     // key 30 matches nothing; one dim row has a NULL key.
-    ASSERT_TRUE(system_
-                    .Execute("INSERT INTO dim VALUES (10, 'ten-a'), "
-                                "(10, 'ten-b'), (20, 'twenty'), (30, 'lonely'), "
-                                "(NULL, 'void')")
-                    .ok());
+    Both("INSERT INTO dim VALUES (10, 'ten-a'), (10, 'ten-b'), "
+         "(20, 'twenty'), (30, 'lonely'), (NULL, 'void')");
+  }
+
+  /// Execute `sql` on the accelerator-only tables and its Db2Twin.
+  void Both(const std::string& sql) {
+    ASSERT_TRUE(system_.Execute(sql).ok()) << sql;
+    ASSERT_TRUE(system_.Execute(Db2Twin(sql)).ok()) << Db2Twin(sql);
   }
 
   IdaaSystem system_;
@@ -180,17 +179,14 @@ TEST_F(SliceJoinTest, LeftOuterJoinPadsUnmatchedAndNullKeys) {
   EXPECT_TRUE(rs->At(5, 1).is_null());
   EXPECT_EQ(rs->At(6, 0).AsInteger(), 5);
   EXPECT_TRUE(rs->At(6, 1).is_null());
-  ExpectBatchRowAgreement(
+  ExpectMatchesDb2Twin(
       system_,
       "SELECT f.id, d.label FROM fact f LEFT JOIN dim d ON f.k = d.k "
       "ORDER BY f.id, d.label");
 }
 
 TEST_F(SliceJoinTest, EmptyBuildSide) {
-  ASSERT_TRUE(
-      system_.Execute("CREATE TABLE nodim (k INT, tag VARCHAR) "
-                         "IN ACCELERATOR")
-          .ok());
+  Both("CREATE TABLE nodim (k INT, tag VARCHAR) IN ACCELERATOR");
   auto inner = system_.Query(
       "SELECT COUNT(*) FROM fact f JOIN nodim n ON f.k = n.k");
   ASSERT_TRUE(inner.ok()) << inner.status().ToString();
@@ -201,9 +197,9 @@ TEST_F(SliceJoinTest, EmptyBuildSide) {
   ASSERT_TRUE(left.ok()) << left.status().ToString();
   ASSERT_EQ(left->NumRows(), 5u);  // every fact row, NULL-padded
   for (size_t i = 0; i < 5; ++i) EXPECT_TRUE(left->At(i, 1).is_null());
-  ExpectBatchRowAgreement(
+  ExpectMatchesDb2Twin(
       system_, "SELECT COUNT(*) FROM fact f JOIN nodim n ON f.k = n.k");
-  ExpectBatchRowAgreement(
+  ExpectMatchesDb2Twin(
       system_,
       "SELECT f.id, n.tag FROM fact f LEFT JOIN nodim n ON f.k = n.k "
       "ORDER BY f.id");
@@ -213,34 +209,31 @@ TEST_F(SliceJoinTest, DuplicateHeavyBuildKeys) {
   // 30 more dim rows all carrying key 10: facts 1 and 3 each match the two
   // original 'ten' rows plus all 30 duplicates.
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(system_
-                    .Execute("INSERT INTO dim VALUES (10, 'dup-" +
-                                std::to_string(i) + "')")
-                    .ok());
+    Both("INSERT INTO dim VALUES (10, 'dup-" + std::to_string(i) + "')");
   }
   auto rs = system_.Query(
       "SELECT COUNT(*) FROM fact f JOIN dim d ON f.k = d.k");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->At(0, 0).AsInteger(), 2 * 32 + 1);
-  ExpectBatchRowAgreement(
+  ExpectMatchesDb2Twin(
       system_,
       "SELECT f.id, d.label FROM fact f JOIN dim d ON f.k = d.k "
       "ORDER BY f.id, d.label");
 }
 
 TEST_F(SliceJoinTest, ResidualPredicateOnBatchJoin) {
-  ExpectBatchRowAgreement(
+  ExpectMatchesDb2Twin(
       system_,
       "SELECT f.id, d.label FROM fact f JOIN dim d "
       "ON f.k = d.k AND f.v > 1.5 ORDER BY f.id, d.label");
-  ExpectBatchRowAgreement(
+  ExpectMatchesDb2Twin(
       system_,
       "SELECT f.id, d.label FROM fact f LEFT JOIN dim d "
       "ON f.k = d.k AND f.v > 1.5 ORDER BY f.id, d.label");
 }
 
 // Replicated copies of the same star (DB2 + accelerator), so the DB2
-// engine can serve as the reference in three-way equivalence checks.
+// engine can serve as the reference.
 class ReplicatedJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -270,19 +263,19 @@ class ReplicatedJoinTest : public ::testing::Test {
 };
 
 TEST_F(ReplicatedJoinTest, ThreeWayEquivalenceOnJoinShapes) {
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       system_, "SELECT COUNT(*) FROM fact f JOIN dim d ON f.k = d.k");
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       system_,
       "SELECT d.label, COUNT(*), SUM(f.v) FROM fact f "
       "JOIN dim d ON f.k = d.k GROUP BY d.label ORDER BY d.label");
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       system_,
       "SELECT f.id, d.label FROM fact f JOIN dim d ON f.k = d.k "
       "WHERE f.v < 3.5 ORDER BY f.id, d.label");
-  ExpectThreeWayAgreement(system_,
+  ExpectMatchesDb2(system_,
                           "SELECT COUNT(*) FROM fact f CROSS JOIN dim d");
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       system_,
       "SELECT f.id, d.label FROM fact f LEFT JOIN dim d ON f.k = d.k "
       "ORDER BY f.id, d.label");
@@ -338,15 +331,15 @@ class VarcharKeyJoinTest : public ::testing::Test {
 TEST_F(VarcharKeyJoinTest, DictionaryCodeKeysAcrossSlices) {
   // 'echo' sales match nothing; 'zulu' and the NULL key drop out; every
   // other category matches exactly one cats row.
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       *system_,
       "SELECT s.id, c.boost FROM sales s JOIN cats c ON s.cat = c.cat "
       "ORDER BY s.id");
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       *system_,
       "SELECT c.cat, COUNT(*), SUM(s.amount) FROM sales s "
       "JOIN cats c ON s.cat = c.cat GROUP BY c.cat ORDER BY c.cat");
-  ExpectThreeWayAgreement(
+  ExpectMatchesDb2(
       *system_,
       "SELECT s.id, s.cat, c.boost FROM sales s LEFT JOIN cats c "
       "ON s.cat = c.cat ORDER BY s.id");

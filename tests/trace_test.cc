@@ -394,14 +394,27 @@ TEST(ExplainAnalyzeTest, StarJoinReportsSliceAndZoneMapDetail) {
   EXPECT_TRUE(HasStage(rows, "accel.coordinator_merge"));
   EXPECT_GT(SumAttr(rows, "statement", "boundary_bytes"), 0u);
 
-  // With the batch path disabled the slice join takes over and reports its
-  // dimension broadcast.
-  system.accelerator().SetBatchPathEnabled(false);
-  auto row_rs = system.Query(query);
-  ASSERT_TRUE(row_rs.ok()) << row_rs.status().ToString();
-  auto row_rows = StageRows(*row_rs);
-  EXPECT_TRUE(HasStage(row_rows, "accel.broadcast_dims"));
-  EXPECT_FALSE(HasStage(row_rows, "accel.batch_join_probe"));
+  // A fact predicate that is not an exact range conjunction makes the
+  // batch join decline: the coordinator join runs over morsel scans, the
+  // fact scan reporting its residual step. No row-at-a-time broadcast
+  // join exists any more.
+  auto coord_rs = system.Query(
+      "EXPLAIN ANALYZE SELECT d.label, SUM(f.v) FROM fact f "
+      "JOIN dim d ON f.k = d.k WHERE f.id < 50 OR f.id > 190 "
+      "GROUP BY d.label");
+  ASSERT_TRUE(coord_rs.ok()) << coord_rs.status().ToString();
+  auto coord_rows = StageRows(*coord_rs);
+  EXPECT_FALSE(HasStage(coord_rows, "accel.broadcast_dims"));
+  EXPECT_FALSE(HasStage(coord_rows, "accel.batch_join_probe"));
+  EXPECT_TRUE(HasStage(coord_rows, "accel.batch_scan"));
+  bool residual = false;
+  for (const auto& row : coord_rows) {
+    if (row.stage == "accel.batch_scan" &&
+        row.detail.find("residual=true") != std::string::npos) {
+      residual = true;
+    }
+  }
+  EXPECT_TRUE(residual);
 }
 
 // ---------------------------------------------------------------------------
