@@ -39,20 +39,8 @@ struct AnalyticsStats {
   uint64_t boundary_bytes = 0;
 };
 
-/// Select the morsel-parallel analytics operators (true) or their serial
-/// reference fits (false) on every attached accelerator.
-void SetAnalyticsBatchPath(IdaaSystem& system, bool enabled) {
-  for (size_t i = 0; i < system.num_accelerators(); ++i) {
-    system.accelerator(i).SetAnalyticsBatchPathEnabled(enabled);
-  }
-}
-
 /// In-accelerator: NORMALIZE then KMEANS via CALL; only summaries return.
-/// `batch_path` selects the morsel-parallel batch operators (true) or the
-/// serial reference fits (false) — results are identical either way, so
-/// the delta isolates the parallel engine's win.
-AnalyticsStats RunInDatabase(IdaaSystem& system, bool batch_path = true) {
-  SetAnalyticsBatchPath(system, batch_path);
+AnalyticsStats RunInDatabase(IdaaSystem& system) {
   MetricsDelta delta(system.metrics());
   WallTimer timer;
   Must(system, "CALL IDAA.NORMALIZE('input=feats', 'output=feats_n', "
@@ -63,7 +51,6 @@ AnalyticsStats RunInDatabase(IdaaSystem& system, bool batch_path = true) {
   stats.millis = timer.Millis();
   stats.boundary_bytes = delta.Delta(metric::kFederationBytesToAccel) +
                          delta.Delta(metric::kFederationBytesFromAccel);
-  SetAnalyticsBatchPath(system, true);
   return stats;
 }
 
@@ -96,7 +83,8 @@ AnalyticsStats RunClientSide(IdaaSystem& system) {
       p[d] = (p[d] - mu) / sd;
     }
   }
-  analytics::KMeansResult km = analytics::RunKMeans(points, 3, 25, 5);
+  analytics::KMeansResult km =
+      analytics::RunKMeans(points, 3, 25, 5, /*pool=*/nullptr);
 
   // Write the assignments back through the boundary.
   Must(system, "CREATE TABLE client_k (x DOUBLE, y DOUBLE, z DOUBLE, "
@@ -124,29 +112,22 @@ void PrintTable() {
   PrintHeader("E5: in-database analytics vs client-side round trips",
               "Claim: executing prep + mining on the accelerator avoids "
               "extracting the\nworking set to the client and re-ingesting "
-              "derived data; the morsel-\nparallel batch operators beat their "
-              "serial reference fits on the same CALLs.");
-  std::printf("%8s | %10s %10s %8s | %12s %16s | %9s\n", "rows", "par ms",
-              "serial ms", "speedup", "client ms", "client bytes",
-              "byte red.");
+              "derived data.");
+  std::printf("%8s | %10s | %12s %16s | %9s\n", "rows", "in-db ms",
+              "client ms", "client bytes", "byte red.");
   BenchJson json("indb_analytics");
   for (size_t rows : {5000u, 20000u, 80000u}) {
     IdaaSystem system;
     SeedFeatures(system, rows);
-    AnalyticsStats serial = RunInDatabase(system, /*batch_path=*/false);
-    AnalyticsStats indb = RunInDatabase(system, /*batch_path=*/true);
+    AnalyticsStats indb = RunInDatabase(system);
     AnalyticsStats client = RunClientSide(system);
-    std::printf("%8zu | %10.1f %10.1f %7.1fx | %12.1f %16llu | %8.1fx\n",
-                rows, indb.millis, serial.millis,
-                serial.millis / std::max(1e-3, indb.millis), client.millis,
+    std::printf("%8zu | %10.1f | %12.1f %16llu | %8.1fx\n", rows,
+                indb.millis, client.millis,
                 (unsigned long long)client.boundary_bytes,
                 client.boundary_bytes /
                     std::max<double>(1.0, indb.boundary_bytes));
     json.Add("normalize+kmeans @" + std::to_string(rows), rows,
-             client.millis, indb.millis,
-             {{"serial_ms", serial.millis},
-              {"parallel_speedup",
-               serial.millis / std::max(1e-3, indb.millis)}});
+             client.millis, indb.millis);
   }
   json.Write();
 }

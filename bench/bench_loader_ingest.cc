@@ -88,7 +88,7 @@ std::string RenderFeedCsv(size_t rows) {
 }
 
 /// Times one CSV load of `body` into a fresh AOT (direct) or accelerated
-/// DB2 table (via replication). num_workers=0 selects the serial loader.
+/// DB2 table (via replication) with `num_workers` parse workers.
 double RunCsvIngest(const std::string& body, size_t batch_size,
                     size_t num_workers, bool direct) {
   IdaaSystem system;
@@ -124,9 +124,9 @@ void PrintParallelTable(BenchJson* json) {
               "rows/s", "speedup");
   for (size_t rows : {10000u, 50000u}) {
     const std::string body = RenderFeedCsv(rows);
-    double serial_ms = 0;
+    double one_worker_ms = 0;
     double best_parallel_ms = 0;
-    for (size_t workers : {0u, 1u, 2u, 4u, 8u}) {
+    for (size_t workers : {1u, 2u, 4u, 8u}) {
       // Best of three runs — fresh system each, so allocator noise and
       // first-touch costs don't masquerade as pipeline overhead.
       double ms = 1e300;
@@ -134,20 +134,21 @@ void PrintParallelTable(BenchJson* json) {
         double m = RunCsvIngest(body, 2048, workers, /*direct=*/true);
         if (m < ms) ms = m;
       }
-      if (workers == 0) serial_ms = ms;
+      if (workers == 1) one_worker_ms = ms;
       if (workers == 4) best_parallel_ms = ms;
       std::printf("%8zu %8zu | %10.1f | %10.0f | %7.2fx\n", rows, workers, ms,
-                  rows / (ms / 1000.0), serial_ms / ms);
+                  rows / (ms / 1000.0), one_worker_ms / ms);
     }
     if (json != nullptr) {
       double via_db2_ms = RunCsvIngest(body, 2048, 4, /*direct=*/false);
-      // db2_ms = legacy via-DB2 route, accel_ms = parallel direct load,
-      // serial_ms = serial direct load — so speedup_vs_db2 is the paper's
-      // E3 claim and pipeline_speedup is the pipeline-parallelism win.
+      // db2_ms = legacy via-DB2 route, accel_ms = 4-worker direct load,
+      // one_worker_ms = the pipeline at one worker — so speedup_vs_db2 is
+      // the paper's E3 claim and pipeline_speedup is the
+      // pipeline-parallelism win.
       json->Add("csv_load_" + std::to_string(rows), rows, via_db2_ms,
                 best_parallel_ms,
-                {{"serial_ms", serial_ms},
-                 {"pipeline_speedup", serial_ms / best_parallel_ms}});
+                {{"one_worker_ms", one_worker_ms},
+                 {"pipeline_speedup", one_worker_ms / best_parallel_ms}});
     }
   }
 }

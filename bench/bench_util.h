@@ -120,7 +120,7 @@ inline void PrintHeader(const std::string& experiment,
 /// Accumulates per-query timings and writes `BENCH_<name>.json` — the
 /// machine-readable perf trajectory tracked across PRs (CI uploads it as
 /// an artifact). `extra` appends bench-specific numeric fields to the
-/// entry (e.g. a serial baseline next to the parallel timing).
+/// entry (e.g. a one-worker baseline next to the parallel timing).
 class BenchJson {
  public:
   using Extra = std::vector<std::pair<std::string, double>>;

@@ -82,16 +82,6 @@ class Accelerator {
     injector_ = injector;
   }
 
-  /// Runtime toggle for the analytics operators (`CALL IDAA.*`) only:
-  /// when off, they run their serial reference fits instead of the
-  /// morsel-parallel ones. SELECT execution never reads it.
-  virtual void SetAnalyticsBatchPathEnabled(bool enabled) {
-    analytics_batch_path_enabled_ = enabled;
-  }
-  bool analytics_batch_path_enabled() const {
-    return analytics_batch_path_enabled_;
-  }
-
   /// Runtime toggle for GROOM-time zone compaction on every hosted table
   /// (current and future). Results are identical either way — encoded
   /// zones keep decoding transparently when disabled; only future grooms
@@ -214,7 +204,6 @@ class Accelerator {
   std::string name_;
   std::atomic<AcceleratorState> state_{AcceleratorState::kOnline};
   FaultInjector* injector_ = nullptr;
-  std::atomic<bool> analytics_batch_path_enabled_{true};
   std::atomic<bool> encoding_enabled_;
   CompactionListener compaction_listener_;
   TransactionManager* tm_;

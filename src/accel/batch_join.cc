@@ -1,7 +1,9 @@
 #include "accel/batch_join.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
@@ -455,18 +457,18 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
   // dictionary-code maps both hold dictionary codes that a Groom rebuild
   // re-interns. The pins are held through build and probe so the codes the
   // probe compares are the codes that were compiled. Deduplicated by table
-  // because a self-join must not shared-lock the same mutex twice.
-  std::vector<const ColumnTable*> pinned_tables;
+  // because a self-join must not shared-lock the same mutex twice, and
+  // taken in address order so that joins naming the same tables in
+  // different orders share one lock order (no inversion against GROOM's
+  // exclusive lock).
+  std::vector<const ColumnTable*> pinned_tables = dim_tables;
+  pinned_tables.push_back(base);
+  std::sort(pinned_tables.begin(), pinned_tables.end(),
+            std::less<const ColumnTable*>());
+  pinned_tables.erase(std::unique(pinned_tables.begin(), pinned_tables.end()),
+                      pinned_tables.end());
   std::vector<std::shared_lock<std::shared_mutex>> pins;
-  auto pin_once = [&](const ColumnTable* t) {
-    for (const ColumnTable* p : pinned_tables) {
-      if (p == t) return;
-    }
-    pinned_tables.push_back(t);
-    pins.push_back(t->PinForScan());
-  };
-  pin_once(base);
-  for (const ColumnTable* t : dim_tables) pin_once(t);
+  for (const ColumnTable* t : pinned_tables) pins.push_back(t->PinForScan());
 
   const BatchScanPlan base_bp =
       PrepareBatchScan(*base, plan.tables[0].scan_predicate.get());

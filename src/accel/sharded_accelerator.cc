@@ -185,12 +185,6 @@ void ShardedAccelerator::set_fault_injector(FaultInjector* injector) {
   for (auto& shard : shards_) shard->set_fault_injector(injector);
 }
 
-void ShardedAccelerator::SetAnalyticsBatchPathEnabled(bool enabled) {
-  auto pin = AcquirePin();
-  analytics_batch_path_enabled_ = enabled;
-  for (auto& shard : shards_) shard->SetAnalyticsBatchPathEnabled(enabled);
-}
-
 void ShardedAccelerator::SetEncodingEnabled(bool enabled) {
   auto pin = AcquirePin();
   encoding_enabled_ = enabled;
@@ -671,7 +665,6 @@ Status ShardedAccelerator::AddShard() {
   auto fresh = std::make_unique<Accelerator>(
       options_, tm_, metrics_, name_ + "#" + std::to_string(n - 1));
   fresh->set_fault_injector(injector_);
-  fresh->SetAnalyticsBatchPathEnabled(analytics_batch_path_enabled_.load());
   fresh->SetEncodingEnabled(encoding_enabled_.load());
 
   // All data movement happens inside one MVCC transaction: the new

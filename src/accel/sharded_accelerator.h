@@ -109,7 +109,6 @@ class ShardedAccelerator : public Accelerator {
   // -- Accelerator API -----------------------------------------------------
 
   void set_fault_injector(FaultInjector* injector) override;
-  void SetAnalyticsBatchPathEnabled(bool enabled) override;
   void SetEncodingEnabled(bool enabled) override;
 
   size_t NumTables() const override;

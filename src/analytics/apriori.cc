@@ -122,40 +122,29 @@ class AprioriOperator : public AnalyticsOperator {
     IDAA_ASSIGN_OR_RETURN(size_t tid_col, in_schema.ColumnIndex(tid_name));
     IDAA_ASSIGN_OR_RETURN(size_t item_col, in_schema.ColumnIndex(item_name));
 
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
     // Grouping into per-tid item sets is set-union, so the per-morsel
-    // partial maps merged in ascending morsel order are exactly the map the
-    // serial row loop builds.
+    // partial maps merged in ascending morsel order give the same map for
+    // any thread count.
     std::map<std::string, std::set<std::string>> grouped;
-    if (in != nullptr) {
-      std::vector<std::map<std::string, std::set<std::string>>> partials(
-          in->num_morsels());
-      in->Scan(
-          [&](size_t, size_t mi, const accel::ColumnBatch& batch) {
-            auto& part = partials[mi];
-            const accel::Column& tid = *(*batch.columns)[tid_col];
-            const accel::Column& item = *(*batch.columns)[item_col];
-            for (size_t k = 0; k < batch.sel_count; ++k) {
-              const size_t i = batch.AbsoluteRow(k);
-              if (tid.IsNull(i) || item.IsNull(i)) continue;
-              part[tid.Get(i).ToString()].insert(item.Get(i).ToString());
-            }
-          },
-          ctx.trace(), "analytics.apriori.group");
-      for (auto& part : partials) {
-        for (auto& [tid, items] : part) {
-          grouped[tid].insert(items.begin(), items.end());
-        }
-      }
-    } else {
-      IDAA_ASSIGN_OR_RETURN(std::vector<Row> rows, ctx.ReadTable(input));
-      for (const Row& row : rows) {
-        if (row[tid_col].is_null() || row[item_col].is_null()) continue;
-        grouped[row[tid_col].ToString()].insert(row[item_col].ToString());
+    std::vector<std::map<std::string, std::set<std::string>>> partials(
+        in->num_morsels());
+    in->Scan(
+        [&](size_t, size_t mi, const accel::ColumnBatch& batch) {
+          auto& part = partials[mi];
+          const accel::Column& tid = *(*batch.columns)[tid_col];
+          const accel::Column& item = *(*batch.columns)[item_col];
+          for (size_t k = 0; k < batch.sel_count; ++k) {
+            const size_t i = batch.AbsoluteRow(k);
+            if (tid.IsNull(i) || item.IsNull(i)) continue;
+            part[tid.Get(i).ToString()].insert(item.Get(i).ToString());
+          }
+        },
+        ctx.trace(), "analytics.apriori.group");
+    for (auto& part : partials) {
+      for (auto& [tid, items] : part) {
+        grouped[tid].insert(items.begin(), items.end());
       }
     }
     std::vector<std::set<std::string>> transactions;
@@ -165,11 +154,9 @@ class AprioriOperator : public AnalyticsOperator {
     std::vector<FrequentItemset> itemsets;
     {
       TraceSpan mine(ctx.trace(), "analytics.apriori.mine");
-      mine.Attr("batch_path", in != nullptr ? "true" : "false");
       mine.Attr("transactions", static_cast<uint64_t>(transactions.size()));
       itemsets = RunApriori(transactions, min_support,
-                            static_cast<size_t>(max_size),
-                            in != nullptr ? in->pool() : nullptr);
+                            static_cast<size_t>(max_size), in->pool());
     }
     in.reset();  // release the scan pin before materializing output AOTs
 

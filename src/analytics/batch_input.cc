@@ -189,12 +189,7 @@ Result<accel::ColumnarRows> AnalyticsInput::GatherColumnar(
 Result<std::vector<std::vector<double>>> AnalyticsInput::ExtractFeatures(
     const std::vector<size_t>& columns, TraceContext tc, size_t* total_rows,
     size_t* skipped_rows) const {
-  for (size_t c : columns) {
-    if (schema().Column(c).type == DataType::kVarchar) {
-      return Status::InvalidArgument("column " + schema().Column(c).name +
-                                     " is not numeric");
-    }
-  }
+  IDAA_RETURN_IF_ERROR(CheckNumericColumns(schema(), columns));
   struct Partial {
     std::vector<std::vector<double>> features;
     size_t rows = 0;
@@ -239,12 +234,7 @@ Result<AnalyticsInput::LabeledFeatures>
 AnalyticsInput::ExtractLabeledFeatures(const std::vector<size_t>& feature_cols,
                                        size_t label_col,
                                        TraceContext tc) const {
-  for (size_t c : feature_cols) {
-    if (schema().Column(c).type == DataType::kVarchar) {
-      return Status::InvalidArgument("column " + schema().Column(c).name +
-                                     " is not numeric");
-    }
-  }
+  IDAA_RETURN_IF_ERROR(CheckNumericColumns(schema(), feature_cols));
   struct Partial {
     std::vector<std::vector<double>> features;
     std::vector<std::string> labels;

@@ -1,14 +1,14 @@
 // AnalyticsInput: a pinned, morsel-planned batch view of one accelerator
-// input table, the vectorized read path of the analytics framework.
+// input table — the only read path of the analytics operators.
 //
 // Opening an input takes the table's scan pin (ColumnTable::PinForScan) and
 // holds it until the input is destroyed — for the whole duration of an
 // operator run — so GROOM cannot rebuild slices (and shift row indexes)
 // between an operator's passes, while writers keep appending and deleting
 // freely. All scans share one morsel plan; per-morsel results are indexed
-// by morsel and concatenated/merged in ascending morsel order, which equals
-// the serial slice-order row sequence — so the batch path visits rows in
-// exactly the order the row-at-a-time fallback does.
+// by morsel and concatenated/merged in ascending morsel order (slice
+// order, then row order within a slice), so every read sees the rows in
+// the same sequence whatever the thread count.
 
 #pragma once
 
@@ -50,20 +50,19 @@ class AnalyticsInput {
   accel::BatchScanStats Scan(const BatchFn& fn, TraceContext tc,
                              const std::string& stage) const;
 
-  /// Materialize all visible rows, concatenated in morsel order (identical
-  /// content and order to the serial AnalyticsContext::ReadTable).
+  /// Materialize all visible rows, concatenated in morsel order.
   std::vector<Row> GatherRows(TraceContext tc) const;
 
   /// Morsel-parallel columnar gather: every visible row as a column-major
   /// staging buffer, concatenated in morsel order — the same content and
   /// row order as GatherRows, without per-row Row/Value boxing.
   /// kNotSupported when a column's type has no ColumnarRows representation
-  /// (callers fall back to GatherRows).
+  /// (callers read such tables with GatherRows).
   Result<accel::ColumnarRows> GatherColumnar(TraceContext tc) const;
 
   /// Morsel-parallel numeric feature extraction straight off the raw column
   /// arrays (no per-row Value boxing). Rows with a NULL in any selected
-  /// column are skipped, mirroring the serial ExtractFeatures. Errors if a
+  /// column are skipped. Errors (CheckNumericColumns) before any scan if a
   /// selected column is VARCHAR. `total_rows`/`skipped_rows` receive the
   /// visible row count and the NULL-skipped count.
   Result<std::vector<std::vector<double>>> ExtractFeatures(

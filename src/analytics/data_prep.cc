@@ -13,11 +13,9 @@ namespace idaa::analytics {
 
 namespace {
 
-/// Common scaffolding: read input (morsel-parallel on the batch path, with
-/// the scan pin held until the transform is done), validate output name,
-/// hand rows to a transform, write the produced rows into a fresh output
-/// AOT. Transforms receive a pool only on the batch path; with pool ==
-/// nullptr they must behave exactly like the original serial code.
+/// Common scaffolding: read the input morsel-parallel (with the scan pin
+/// held until the transform is done), hand it to a transform, write the
+/// produced rows into a fresh output AOT.
 class TableToTableOperator : public AnalyticsOperator {
  public:
   Result<std::vector<std::string>> InputTables(
@@ -31,30 +29,21 @@ class TableToTableOperator : public AnalyticsOperator {
     IDAA_ASSIGN_OR_RETURN(std::string output, GetParam(params, "output"));
     IDAA_ASSIGN_OR_RETURN(Schema in_schema, ctx.TableSchema(input));
 
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
     // Columnar-capable transforms read the input as flat column vectors;
     // everyone else (and any input with a non-columnar type) gets rows.
     std::vector<Row> rows;
     accel::ColumnarRows in_columnar;
     bool have_columnar = false;
-    if (in != nullptr && WantsColumnarInput(params, in_schema)) {
+    if (WantsColumnarInput()) {
       auto gathered = in->GatherColumnar(ctx.trace());
       if (gathered.ok()) {
         in_columnar = std::move(*gathered);
         have_columnar = true;
       }
     }
-    if (!have_columnar) {
-      if (in != nullptr) {
-        rows = in->GatherRows(ctx.trace());
-      } else {
-        IDAA_ASSIGN_OR_RETURN(rows, ctx.ReadTable(input));
-      }
-    }
+    if (!have_columnar) rows = in->GatherRows(ctx.trace());
     const size_t in_count = have_columnar ? in_columnar.num_rows : rows.size();
 
     Schema out_schema;
@@ -64,15 +53,10 @@ class TableToTableOperator : public AnalyticsOperator {
     {
       TraceSpan span(ctx.trace(),
                      "analytics." + ToLower(name()) + ".transform");
-      span.Attr("batch_path", in != nullptr ? "true" : "false");
       span.Attr("rows", static_cast<uint64_t>(in_count));
-      if (in != nullptr) {
-        span.Attr("partial_merges",
-                  static_cast<uint64_t>(NumChunks(in_count)));
-      }
-      summary = Transform(ctx, params, in_schema, rows,
-                          in != nullptr ? in->pool() : nullptr, &out_schema,
-                          &out_rows, &out_columnar,
+      span.Attr("partial_merges", static_cast<uint64_t>(NumChunks(in_count)));
+      summary = Transform(ctx, params, in_schema, rows, in->pool(),
+                          &out_schema, &out_rows, &out_columnar,
                           have_columnar ? &in_columnar : nullptr);
     }
     if (!summary->ok()) return summary->status();
@@ -88,16 +72,17 @@ class TableToTableOperator : public AnalyticsOperator {
   }
 
  protected:
-  /// Produce output schema + rows and a summary result set. `pool` is
-  /// non-null only on the batch path; transforms keep per-chunk partial
-  /// states and merge them in ascending chunk order so the batch result is
-  /// identical for any thread count. A transform may stage its output in
-  /// `out_columnar` instead of `out_rows` (batch path only — stored state
-  /// must be identical to the rows the serial arm would produce); when
-  /// `out_columnar` has columns, Run appends it via the columnar path.
-  /// When the transform opted into columnar input (WantsColumnarInput) and
-  /// the gather succeeded, `in_columnar` is non-null and `rows` is empty;
-  /// its row order matches the serial row order exactly.
+  /// Produce output schema + rows and a summary result set. Transforms
+  /// run their passes with ParallelChunks on `pool` (serially when null),
+  /// keep per-chunk partial states and merge them in ascending chunk order,
+  /// so the result is identical for any thread count. A transform may stage
+  /// its output in `out_columnar` instead of `out_rows` (stored state is
+  /// identical to the equivalent rows); when `out_columnar` has columns,
+  /// Run appends it via the columnar path. When the transform opted into
+  /// columnar input (WantsColumnarInput) and the gather succeeded,
+  /// `in_columnar` is non-null and `rows` is empty; both carry the rows in
+  /// the same order. Transforms validate column types before any chunk
+  /// work, so no chunk ever meets a value it cannot convert.
   virtual Result<ResultSet> Transform(AnalyticsContext& ctx,
                                       const ParamMap& params,
                                       const Schema& in_schema,
@@ -107,13 +92,10 @@ class TableToTableOperator : public AnalyticsOperator {
                                       accel::ColumnarRows* out_columnar,
                                       accel::ColumnarRows* in_columnar) = 0;
 
-  /// Opt-in to a columnar input gather on the batch path. Implementations
-  /// must only accept parameter/schema combinations their columnar arm
-  /// fully handles (including surfacing the same errors as the row arm).
-  virtual bool WantsColumnarInput(const ParamMap& /*params*/,
-                                  const Schema& /*in_schema*/) const {
-    return false;
-  }
+  /// Opt-in to a columnar input gather (taken when every input column has
+  /// a ColumnarRows representation). An opting-in transform handles both
+  /// input arms with the same results and errors.
+  virtual bool WantsColumnarInput() const { return false; }
 
   static ResultSet SummaryRow(std::vector<std::string> names,
                               std::vector<Value> values) {
@@ -129,9 +111,9 @@ class TableToTableOperator : public AnalyticsOperator {
     return out;
   }
 
-  /// Non-null, non-VARCHAR values always convert; transforms gate their
-  /// parallel arms on "no VARCHAR column selected" so this never fails
-  /// inside a chunk task (the serial fallback owns the error surface).
+  /// Non-null, non-VARCHAR values always convert; transforms reject
+  /// VARCHAR selections before any chunk work, so this never fails inside
+  /// a chunk task.
   static double MustDouble(const Value& v) {
     auto d = v.ToDouble();
     return d.ok() ? *d : 0.0;
@@ -148,19 +130,7 @@ class NormalizeOperator : public TableToTableOperator {
   }
 
  protected:
-  bool WantsColumnarInput(const ParamMap& params,
-                          const Schema& in_schema) const override {
-    // Only when every selected column is numeric — VARCHAR selections must
-    // flow through the serial row loop, which owns the error message.
-    auto columns_list = GetParam(params, "columns");
-    if (!columns_list.ok()) return false;
-    auto columns = ResolveColumns(in_schema, *columns_list);
-    if (!columns.ok()) return false;
-    for (size_t c : *columns) {
-      if (in_schema.Column(c).type == DataType::kVarchar) return false;
-    }
-    return true;
-  }
+  bool WantsColumnarInput() const override { return true; }
 
   Result<ResultSet> Transform(AnalyticsContext&, const ParamMap& params,
                               const Schema& in_schema,
@@ -178,108 +148,84 @@ class NormalizeOperator : public TableToTableOperator {
       return Status::InvalidArgument("unknown normalization method: " + method);
     }
     for (size_t c : columns) {
-      if (in_schema.Column(c).type == DataType::kVarchar) {
-        pool = nullptr;  // serial loop below reports the ToDouble error
+      if (!IsNumeric(in_schema.Column(c).type)) {
+        return Status::InvalidArgument("column " + in_schema.Column(c).name +
+                                       " is not numeric");
       }
     }
 
     // Column statistics: per-chunk min/max/sum/sum-sq partials merged in
-    // ascending chunk order (batch path), or the original row loop.
+    // ascending chunk order.
     struct Stats {
       double sum = 0, sum_sq = 0, min = 0, max = 0;
       size_t n = 0;
     };
     std::map<size_t, Stats> stats;
     for (size_t c : columns) stats[c] = Stats{};
-    if (pool != nullptr) {
-      const size_t n =
-          in_columnar != nullptr ? in_columnar->num_rows : rows.size();
-      std::vector<std::vector<Stats>> partials(
-          NumChunks(n), std::vector<Stats>(columns.size()));
-      auto observe = [](Stats& s, double d) {
-        if (s.n == 0) {
-          s.min = d;
-          s.max = d;
-        }
-        s.min = std::min(s.min, d);
-        s.max = std::max(s.max, d);
-        s.sum += d;
-        s.sum_sq += d * d;
-        ++s.n;
-      };
-      if (in_columnar != nullptr) {
-        // Flat-vector accumulation: per column, rows ascend within each
-        // fixed chunk exactly as in the row loop, so partials are
-        // bit-identical to the rows-based batch arm.
-        ParallelChunks(pool, n, [&](size_t chunk, size_t begin, size_t end) {
-          std::vector<Stats>& part = partials[chunk];
-          for (size_t j = 0; j < columns.size(); ++j) {
-            const accel::ColumnarRows::Col& col =
-                in_columnar->columns[columns[j]];
-            const bool dbl =
-                in_schema.Column(columns[j]).type == DataType::kDouble;
-            for (size_t r = begin; r < end; ++r) {
-              if (!col.nulls.empty() && col.nulls[r]) continue;
-              observe(part[j],
-                      dbl ? col.doubles[r] : static_cast<double>(col.ints[r]));
-            }
-          }
-        });
-      } else {
-        ParallelChunks(pool, n, [&](size_t chunk, size_t begin, size_t end) {
-          std::vector<Stats>& part = partials[chunk];
-          for (size_t r = begin; r < end; ++r) {
-            for (size_t j = 0; j < columns.size(); ++j) {
-              const Value& v = rows[r][columns[j]];
-              if (v.is_null()) continue;
-              observe(part[j], MustDouble(v));
-            }
-          }
-        });
+    const size_t n =
+        in_columnar != nullptr ? in_columnar->num_rows : rows.size();
+    std::vector<std::vector<Stats>> partials(
+        NumChunks(n), std::vector<Stats>(columns.size()));
+    auto observe = [](Stats& s, double d) {
+      if (s.n == 0) {
+        s.min = d;
+        s.max = d;
       }
-      for (const std::vector<Stats>& part : partials) {
+      s.min = std::min(s.min, d);
+      s.max = std::max(s.max, d);
+      s.sum += d;
+      s.sum_sq += d * d;
+      ++s.n;
+    };
+    if (in_columnar != nullptr) {
+      // Flat-vector accumulation: per column, rows ascend within each
+      // fixed chunk exactly as in the row arm, so partials are
+      // bit-identical to it.
+      ParallelChunks(pool, n, [&](size_t chunk, size_t begin, size_t end) {
+        std::vector<Stats>& part = partials[chunk];
         for (size_t j = 0; j < columns.size(); ++j) {
-          if (part[j].n == 0) continue;
-          Stats& s = stats[columns[j]];
-          if (s.n == 0) {
-            s.min = part[j].min;
-            s.max = part[j].max;
+          const accel::ColumnarRows::Col& col =
+              in_columnar->columns[columns[j]];
+          const bool dbl =
+              in_schema.Column(columns[j]).type == DataType::kDouble;
+          for (size_t r = begin; r < end; ++r) {
+            if (!col.nulls.empty() && col.nulls[r]) continue;
+            observe(part[j],
+                    dbl ? col.doubles[r] : static_cast<double>(col.ints[r]));
           }
-          s.min = std::min(s.min, part[j].min);
-          s.max = std::max(s.max, part[j].max);
-          s.sum += part[j].sum;
-          s.sum_sq += part[j].sum_sq;
-          s.n += part[j].n;
         }
-      }
+      });
     } else {
-      for (const Row& row : rows) {
-        for (size_t c : columns) {
-          if (row[c].is_null()) continue;
-          IDAA_ASSIGN_OR_RETURN(double d, row[c].ToDouble());
-          Stats& s = stats[c];
-          if (s.n == 0) {
-            s.min = d;
-            s.max = d;
+      ParallelChunks(pool, n, [&](size_t chunk, size_t begin, size_t end) {
+        std::vector<Stats>& part = partials[chunk];
+        for (size_t r = begin; r < end; ++r) {
+          for (size_t j = 0; j < columns.size(); ++j) {
+            const Value& v = rows[r][columns[j]];
+            if (v.is_null()) continue;
+            observe(part[j], MustDouble(v));
           }
-          s.min = std::min(s.min, d);
-          s.max = std::max(s.max, d);
-          s.sum += d;
-          s.sum_sq += d * d;
-          ++s.n;
         }
+      });
+    }
+    for (const std::vector<Stats>& part : partials) {
+      for (size_t j = 0; j < columns.size(); ++j) {
+        if (part[j].n == 0) continue;
+        Stats& s = stats[columns[j]];
+        if (s.n == 0) {
+          s.min = part[j].min;
+          s.max = part[j].max;
+        }
+        s.min = std::min(s.min, part[j].min);
+        s.max = std::max(s.max, part[j].max);
+        s.sum += part[j].sum;
+        s.sum_sq += part[j].sum_sq;
+        s.n += part[j].n;
       }
     }
 
     // Output schema: normalized columns become DOUBLE, everything else kept.
     std::vector<ColumnDef> out_cols = in_schema.columns();
-    for (size_t c : columns) {
-      if (!IsNumeric(out_cols[c].type)) {
-        return Status::InvalidArgument("column " + out_cols[c].name +
-                                       " is not numeric");
-      }
-      out_cols[c].type = DataType::kDouble;
-    }
+    for (size_t c : columns) out_cols[c].type = DataType::kDouble;
     *out_schema = Schema(std::move(out_cols));
 
     // Each output row depends only on its input row and the final stats, so
@@ -294,10 +240,10 @@ class NormalizeOperator : public TableToTableOperator {
       double span = s.max - s.min;
       return span > 0 ? (d - s.min) / span : 0.0;
     };
-    // Batch path: stage the output column-major when every output column
-    // has a columnar-insert representation — values go straight from the
-    // chunk workers into flat typed vectors, no per-row Row/Value boxing.
-    bool columnar_ok = pool != nullptr;
+    // Stage the output column-major when every output column has a
+    // columnar-insert representation — values go straight from the chunk
+    // workers into flat typed vectors, no per-row Row/Value boxing.
+    bool columnar_ok = true;
     for (const ColumnDef& def : out_schema->columns()) {
       if (def.type != DataType::kDouble && def.type != DataType::kInteger &&
           def.type != DataType::kVarchar) {
@@ -307,7 +253,6 @@ class NormalizeOperator : public TableToTableOperator {
     if (in_columnar != nullptr) {
       // Columnar in, columnar out: pass-through columns move wholesale;
       // normalized columns are rescaled flat-vector to flat-vector.
-      const size_t n = in_columnar->num_rows;
       const size_t ncols = out_schema->NumColumns();
       std::vector<uint8_t> is_norm(ncols, 0);
       for (size_t c : columns) is_norm[c] = 1;
@@ -382,7 +327,7 @@ class NormalizeOperator : public TableToTableOperator {
           }
         }
       });
-    } else if (pool != nullptr) {
+    } else {
       out_rows->assign(rows.size(), Row());
       ParallelChunks(pool, rows.size(),
                      [&](size_t, size_t begin, size_t end) {
@@ -396,23 +341,9 @@ class NormalizeOperator : public TableToTableOperator {
                          (*out_rows)[r] = std::move(out);
                        }
                      });
-    } else {
-      out_rows->reserve(rows.size());
-      for (const Row& row : rows) {
-        Row out = row;
-        for (size_t c : columns) {
-          if (out[c].is_null()) continue;
-          IDAA_ASSIGN_OR_RETURN(double d, out[c].ToDouble());
-          out[c] = Value::Double(scale(stats[c], d));
-        }
-        out_rows->push_back(std::move(out));
-      }
     }
-    size_t out_count = in_columnar != nullptr
-                           ? in_columnar->num_rows
-                           : (columnar_ok ? rows.size() : out_rows->size());
     return SummaryRow({"ROWS", "COLUMNS", "METHOD"},
-                      {Value::Integer(static_cast<int64_t>(out_count)),
+                      {Value::Integer(static_cast<int64_t>(n)),
                        Value::Integer(static_cast<int64_t>(columns.size())),
                        Value::Varchar(method)});
   }
@@ -439,55 +370,40 @@ class DiscretizeOperator : public TableToTableOperator {
     IDAA_ASSIGN_OR_RETURN(size_t col, in_schema.ColumnIndex(column));
     IDAA_ASSIGN_OR_RETURN(int64_t bins, GetIntParam(params, "bins", 10));
     if (bins < 1) return Status::InvalidArgument("bins must be >= 1");
-    if (in_schema.Column(col).type == DataType::kVarchar) {
-      pool = nullptr;  // serial loop below reports the ToDouble error
-    }
+    IDAA_RETURN_IF_ERROR(CheckNumericColumns(in_schema, {col}));
 
-    // Min/max: per-chunk partials merge exactly, so the batch-path range
-    // (and therefore every bin) is bit-identical to the serial scan.
+    // Min/max: per-chunk partials merge exactly (comparisons commute), so
+    // the range and every bin are independent of the chunking.
     double lo = 0, hi = 0;
     bool first = true;
-    if (pool != nullptr) {
-      struct Range {
-        double lo = 0, hi = 0;
-        bool any = false;
-      };
-      std::vector<Range> partials(NumChunks(rows.size()));
-      ParallelChunks(pool, rows.size(),
-                     [&](size_t chunk, size_t begin, size_t end) {
-                       Range& part = partials[chunk];
-                       for (size_t r = begin; r < end; ++r) {
-                         if (rows[r][col].is_null()) continue;
-                         double d = MustDouble(rows[r][col]);
-                         if (!part.any) {
-                           part.lo = part.hi = d;
-                           part.any = true;
-                         }
-                         part.lo = std::min(part.lo, d);
-                         part.hi = std::max(part.hi, d);
+    struct Range {
+      double lo = 0, hi = 0;
+      bool any = false;
+    };
+    std::vector<Range> partials(NumChunks(rows.size()));
+    ParallelChunks(pool, rows.size(),
+                   [&](size_t chunk, size_t begin, size_t end) {
+                     Range& part = partials[chunk];
+                     for (size_t r = begin; r < end; ++r) {
+                       if (rows[r][col].is_null()) continue;
+                       double d = MustDouble(rows[r][col]);
+                       if (!part.any) {
+                         part.lo = part.hi = d;
+                         part.any = true;
                        }
-                     });
-      for (const auto& part : partials) {
-        if (!part.any) continue;
-        if (first) {
-          lo = part.lo;
-          hi = part.hi;
-          first = false;
-        }
-        lo = std::min(lo, part.lo);
-        hi = std::max(hi, part.hi);
+                       part.lo = std::min(part.lo, d);
+                       part.hi = std::max(part.hi, d);
+                     }
+                   });
+    for (const auto& part : partials) {
+      if (!part.any) continue;
+      if (first) {
+        lo = part.lo;
+        hi = part.hi;
+        first = false;
       }
-    } else {
-      for (const Row& row : rows) {
-        if (row[col].is_null()) continue;
-        IDAA_ASSIGN_OR_RETURN(double d, row[col].ToDouble());
-        if (first) {
-          lo = hi = d;
-          first = false;
-        }
-        lo = std::min(lo, d);
-        hi = std::max(hi, d);
-      }
+      lo = std::min(lo, part.lo);
+      hi = std::max(hi, part.hi);
     }
     double width = (hi - lo) / static_cast<double>(bins);
     if (width <= 0) width = 1.0;
@@ -501,34 +417,18 @@ class DiscretizeOperator : public TableToTableOperator {
       int64_t bin = static_cast<int64_t>((d - lo) / width);
       return std::clamp<int64_t>(bin, 0, bins - 1);
     };
-    if (pool != nullptr) {
-      out_rows->assign(rows.size(), Row());
-      ParallelChunks(pool, rows.size(),
-                     [&](size_t, size_t begin, size_t end) {
-                       for (size_t r = begin; r < end; ++r) {
-                         Row out = rows[r];
-                         if (rows[r][col].is_null()) {
-                           out.push_back(Value::Null());
-                         } else {
-                           out.push_back(Value::Integer(
-                               bin_of(MustDouble(rows[r][col]))));
-                         }
-                         (*out_rows)[r] = std::move(out);
-                       }
-                     });
-    } else {
-      out_rows->reserve(rows.size());
-      for (const Row& row : rows) {
-        Row out = row;
-        if (row[col].is_null()) {
+    out_rows->assign(rows.size(), Row());
+    ParallelChunks(pool, rows.size(), [&](size_t, size_t begin, size_t end) {
+      for (size_t r = begin; r < end; ++r) {
+        Row out = rows[r];
+        if (rows[r][col].is_null()) {
           out.push_back(Value::Null());
         } else {
-          IDAA_ASSIGN_OR_RETURN(double d, row[col].ToDouble());
-          out.push_back(Value::Integer(bin_of(d)));
+          out.push_back(Value::Integer(bin_of(MustDouble(rows[r][col]))));
         }
-        out_rows->push_back(std::move(out));
+        (*out_rows)[r] = std::move(out);
       }
-    }
+    });
     return SummaryRow(
         {"ROWS", "BINS", "LOW", "HIGH"},
         {Value::Integer(static_cast<int64_t>(out_rows->size())),
@@ -559,32 +459,26 @@ class ImputeOperator : public TableToTableOperator {
                           ResolveColumns(in_schema, columns_list));
 
     // Replacement values: VARCHAR mode counts are additive, so the chunked
-    // merge is exact; numeric means merge per-chunk sums (epsilon vs the
-    // serial row-order sum, identical across thread counts).
+    // merge is exact; numeric means merge per-chunk sums in ascending chunk
+    // order (identical across thread counts).
     std::map<size_t, Value> replacement;
     for (size_t c : columns) {
       const ColumnDef& def = in_schema.Column(c);
       if (def.type == DataType::kVarchar) {
         std::map<std::string, size_t> counts;
-        if (pool != nullptr) {
-          std::vector<std::map<std::string, size_t>> partials(
-              NumChunks(rows.size()));
-          ParallelChunks(pool, rows.size(),
-                         [&](size_t chunk, size_t begin, size_t end) {
-                           auto& part = partials[chunk];
-                           for (size_t r = begin; r < end; ++r) {
-                             if (!rows[r][c].is_null()) {
-                               ++part[rows[r][c].AsVarchar()];
-                             }
+        std::vector<std::map<std::string, size_t>> partials(
+            NumChunks(rows.size()));
+        ParallelChunks(pool, rows.size(),
+                       [&](size_t chunk, size_t begin, size_t end) {
+                         auto& part = partials[chunk];
+                         for (size_t r = begin; r < end; ++r) {
+                           if (!rows[r][c].is_null()) {
+                             ++part[rows[r][c].AsVarchar()];
                            }
-                         });
-          for (const auto& part : partials) {
-            for (const auto& [value, count] : part) counts[value] += count;
-          }
-        } else {
-          for (const Row& row : rows) {
-            if (!row[c].is_null()) ++counts[row[c].AsVarchar()];
-          }
+                         }
+                       });
+        for (const auto& part : partials) {
+          for (const auto& [value, count] : part) counts[value] += count;
         }
         std::string mode;
         size_t best = 0;
@@ -596,34 +490,25 @@ class ImputeOperator : public TableToTableOperator {
         }
         replacement[c] = Value::Varchar(mode);
       } else {
+        struct Partial {
+          double sum = 0;
+          size_t n = 0;
+        };
+        std::vector<Partial> partials(NumChunks(rows.size()));
+        ParallelChunks(pool, rows.size(),
+                       [&](size_t chunk, size_t begin, size_t end) {
+                         Partial& part = partials[chunk];
+                         for (size_t r = begin; r < end; ++r) {
+                           if (rows[r][c].is_null()) continue;
+                           part.sum += MustDouble(rows[r][c]);
+                           ++part.n;
+                         }
+                       });
         double sum = 0;
         size_t n = 0;
-        if (pool != nullptr) {
-          struct Partial {
-            double sum = 0;
-            size_t n = 0;
-          };
-          std::vector<Partial> partials(NumChunks(rows.size()));
-          ParallelChunks(pool, rows.size(),
-                         [&](size_t chunk, size_t begin, size_t end) {
-                           Partial& part = partials[chunk];
-                           for (size_t r = begin; r < end; ++r) {
-                             if (rows[r][c].is_null()) continue;
-                             part.sum += MustDouble(rows[r][c]);
-                             ++part.n;
-                           }
-                         });
-          for (const Partial& part : partials) {
-            sum += part.sum;
-            n += part.n;
-          }
-        } else {
-          for (const Row& row : rows) {
-            if (row[c].is_null()) continue;
-            IDAA_ASSIGN_OR_RETURN(double d, row[c].ToDouble());
-            sum += d;
-            ++n;
-          }
+        for (const Partial& part : partials) {
+          sum += part.sum;
+          n += part.n;
         }
         double mean = n ? sum / n : 0.0;
         Value v = Value::Double(mean);
@@ -635,39 +520,25 @@ class ImputeOperator : public TableToTableOperator {
     }
 
     *out_schema = in_schema;
-    size_t imputed = 0;
-    if (pool != nullptr) {
-      out_rows->assign(rows.size(), Row());
-      std::vector<size_t> imputed_per_chunk(NumChunks(rows.size()), 0);
-      ParallelChunks(pool, rows.size(),
-                     [&](size_t chunk, size_t begin, size_t end) {
-                       size_t count = 0;
-                       for (size_t r = begin; r < end; ++r) {
-                         Row out = rows[r];
-                         for (size_t c : columns) {
-                           if (out[c].is_null()) {
-                             out[c] = replacement.at(c);
-                             ++count;
-                           }
+    out_rows->assign(rows.size(), Row());
+    std::vector<size_t> imputed_per_chunk(NumChunks(rows.size()), 0);
+    ParallelChunks(pool, rows.size(),
+                   [&](size_t chunk, size_t begin, size_t end) {
+                     size_t count = 0;
+                     for (size_t r = begin; r < end; ++r) {
+                       Row out = rows[r];
+                       for (size_t c : columns) {
+                         if (out[c].is_null()) {
+                           out[c] = replacement.at(c);
+                           ++count;
                          }
-                         (*out_rows)[r] = std::move(out);
                        }
-                       imputed_per_chunk[chunk] = count;
-                     });
-      for (size_t count : imputed_per_chunk) imputed += count;
-    } else {
-      out_rows->reserve(rows.size());
-      for (const Row& row : rows) {
-        Row out = row;
-        for (size_t c : columns) {
-          if (out[c].is_null()) {
-            out[c] = replacement[c];
-            ++imputed;
-          }
-        }
-        out_rows->push_back(std::move(out));
-      }
-    }
+                       (*out_rows)[r] = std::move(out);
+                     }
+                     imputed_per_chunk[chunk] = count;
+                   });
+    size_t imputed = 0;
+    for (size_t count : imputed_per_chunk) imputed += count;
     return SummaryRow({"ROWS", "IMPUTED_VALUES"},
                       {Value::Integer(static_cast<int64_t>(out_rows->size())),
                        Value::Integer(static_cast<int64_t>(imputed))});
@@ -697,42 +568,28 @@ class OneHotOperator : public TableToTableOperator {
                           GetIntParam(params, "max_values", 32));
 
     // Category discovery in first-appearance order. Per-chunk appearance
-    // lists concatenated in ascending chunk order reproduce the serial
+    // lists concatenated in ascending chunk order give the table-wide
     // first-appearance order exactly; the max_values check runs on the
-    // merged set, so both paths accept/reject identically.
+    // merged set.
     std::map<std::string, size_t> categories;  // value -> indicator index
-    if (pool != nullptr) {
-      struct Partial {
-        std::vector<std::string> order;
-        std::set<std::string> seen;
-      };
-      std::vector<Partial> partials(NumChunks(rows.size()));
-      ParallelChunks(pool, rows.size(),
-                     [&](size_t chunk, size_t begin, size_t end) {
-                       Partial& part = partials[chunk];
-                       for (size_t r = begin; r < end; ++r) {
-                         if (rows[r][col].is_null()) continue;
-                         std::string key = rows[r][col].ToString();
-                         if (part.seen.insert(key).second) {
-                           part.order.push_back(std::move(key));
-                         }
+    struct Partial {
+      std::vector<std::string> order;
+      std::set<std::string> seen;
+    };
+    std::vector<Partial> partials(NumChunks(rows.size()));
+    ParallelChunks(pool, rows.size(),
+                   [&](size_t chunk, size_t begin, size_t end) {
+                     Partial& part = partials[chunk];
+                     for (size_t r = begin; r < end; ++r) {
+                       if (rows[r][col].is_null()) continue;
+                       std::string key = rows[r][col].ToString();
+                       if (part.seen.insert(key).second) {
+                         part.order.push_back(std::move(key));
                        }
-                     });
-      for (const Partial& part : partials) {
-        for (const std::string& key : part.order) {
-          if (!categories.count(key)) {
-            if (static_cast<int64_t>(categories.size()) >= max_values) {
-              return Status::InvalidArgument(
-                  "column has more than max_values distinct values");
-            }
-            categories.emplace(key, categories.size());
-          }
-        }
-      }
-    } else {
-      for (const Row& row : rows) {
-        if (row[col].is_null()) continue;
-        std::string key = row[col].ToString();
+                     }
+                   });
+    for (const Partial& part : partials) {
+      for (const std::string& key : part.order) {
         if (!categories.count(key)) {
           if (static_cast<int64_t>(categories.size()) >= max_values) {
             return Status::InvalidArgument(
@@ -764,18 +621,10 @@ class OneHotOperator : public TableToTableOperator {
       }
       return out;
     };
-    if (pool != nullptr) {
-      out_rows->assign(rows.size(), Row());
-      ParallelChunks(pool, rows.size(),
-                     [&](size_t, size_t begin, size_t end) {
-                       for (size_t r = begin; r < end; ++r) {
-                         (*out_rows)[r] = expand(rows[r]);
-                       }
-                     });
-    } else {
-      out_rows->reserve(rows.size());
-      for (const Row& row : rows) out_rows->push_back(expand(row));
-    }
+    out_rows->assign(rows.size(), Row());
+    ParallelChunks(pool, rows.size(), [&](size_t, size_t begin, size_t end) {
+      for (size_t r = begin; r < end; ++r) (*out_rows)[r] = expand(rows[r]);
+    });
     return SummaryRow({"ROWS", "CATEGORIES"},
                       {Value::Integer(static_cast<int64_t>(out_rows->size())),
                        Value::Integer(static_cast<int64_t>(ordered.size()))});
@@ -799,9 +648,8 @@ class SampleOperator : public TableToTableOperator {
                               std::vector<Row>* out_rows,
                               accel::ColumnarRows* /*out_columnar*/,
                               accel::ColumnarRows* /*in_columnar*/) override {
-    (void)pool;  // the seeded RNG stream is sequential by construction; the
-                 // batch path still parallelizes the input gather, and the
-                 // serial draw keeps output bit-identical to the row path
+    (void)pool;  // the seeded RNG stream is sequential by construction;
+                 // the input gather is still morsel-parallel
     IDAA_ASSIGN_OR_RETURN(double fraction,
                           GetDoubleParam(params, "fraction", 0.1));
     IDAA_ASSIGN_OR_RETURN(int64_t seed, GetIntParam(params, "seed", 42));
@@ -846,17 +694,9 @@ class SummarizeOperator : public AnalyticsOperator {
       IDAA_ASSIGN_OR_RETURN(columns, ResolveColumns(in_schema, columns_list));
     }
 
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
-    std::vector<Row> rows;
-    if (in != nullptr) {
-      rows = in->GatherRows(ctx.trace());
-    } else {
-      IDAA_ASSIGN_OR_RETURN(rows, ctx.ReadTable(input));
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
+    std::vector<Row> rows = in->GatherRows(ctx.trace());
 
     Schema out_schema({{"COLUMN", DataType::kVarchar, false},
                        {"TYPE", DataType::kVarchar, false},
@@ -869,7 +709,8 @@ class SummarizeOperator : public AnalyticsOperator {
                        {"STDDEV", DataType::kDouble, true}});
 
     // One independent task per audited column; within a column the scan is
-    // the serial row loop, so the batch result is exactly the serial one.
+    // a row loop in table order, so the result is independent of the
+    // thread count.
     std::vector<Row> out_rows(columns.size());
     auto audit = [&](size_t j) {
       size_t c = columns[j];
@@ -877,7 +718,7 @@ class SummarizeOperator : public AnalyticsOperator {
       size_t nulls = 0, n = 0;
       double sum = 0, sum_sq = 0;
       Value min_v, max_v;
-      std::set<std::string> distinct;
+      std::set<Value> distinct;  // storage equality, as COUNT(DISTINCT)
       bool numeric = IsNumeric(def.type);
       for (const Row& row : rows) {
         const Value& v = row[c];
@@ -886,7 +727,7 @@ class SummarizeOperator : public AnalyticsOperator {
           continue;
         }
         ++n;
-        distinct.insert(v.ToString());
+        distinct.insert(v);
         if (min_v.is_null()) {
           min_v = v;
           max_v = v;
@@ -922,9 +763,8 @@ class SummarizeOperator : public AnalyticsOperator {
     };
     {
       TraceSpan span(ctx.trace(), "analytics.summarize.audit");
-      span.Attr("batch_path", in != nullptr ? "true" : "false");
       span.Attr("rows", static_cast<uint64_t>(rows.size()));
-      ThreadPool* pool = in != nullptr ? in->pool() : nullptr;
+      ThreadPool* pool = in->pool();
       if (pool != nullptr && columns.size() > 1) {
         pool->ParallelForDynamic(
             columns.size(), std::min(pool->num_threads(), columns.size()),

@@ -209,63 +209,30 @@ class DecisionTreeOperator : public AnalyticsOperator {
                           ResolveColumns(in_schema, columns_list));
     IDAA_ASSIGN_OR_RETURN(size_t label_col, in_schema.ColumnIndex(label_name));
 
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
-    std::vector<std::vector<double>> features;
-    std::vector<std::string> labels;
-    if (in != nullptr) {
-      auto extracted =
-          in->ExtractLabeledFeatures(feature_cols, label_col, ctx.trace());
-      if (extracted.ok()) {
-        features = std::move(extracted->features);
-        labels = std::move(extracted->labels);
-      } else {
-        in.reset();  // non-numeric column: serial path owns the error
-      }
-    }
-    if (in == nullptr) {
-      IDAA_ASSIGN_OR_RETURN(std::vector<Row> rows, ctx.ReadTable(input));
-      for (const Row& row : rows) {
-        if (row[label_col].is_null()) continue;
-        std::vector<double> feature;
-        bool skip = false;
-        for (size_t c : feature_cols) {
-          if (row[c].is_null()) {
-            skip = true;
-            break;
-          }
-          auto d = row[c].ToDouble();
-          if (!d.ok()) return d.status();
-          feature.push_back(*d);
-        }
-        if (skip) continue;
-        features.push_back(std::move(feature));
-        labels.push_back(row[label_col].ToString());
-      }
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
+    IDAA_ASSIGN_OR_RETURN(
+        AnalyticsInput::LabeledFeatures extracted,
+        in->ExtractLabeledFeatures(feature_cols, label_col, ctx.trace()));
+    std::vector<std::vector<double>> features = std::move(extracted.features);
+    std::vector<std::string> labels = std::move(extracted.labels);
 
     DecisionTreeModel model;
     {
       TraceSpan fit(ctx.trace(), "analytics.decisiontree.fit");
-      fit.Attr("batch_path", in != nullptr ? "true" : "false");
       fit.Attr("rows", static_cast<uint64_t>(features.size()));
       IDAA_ASSIGN_OR_RETURN(
-          model,
-          DecisionTreeModel::Fit(features, labels,
-                                 static_cast<size_t>(max_depth),
-                                 static_cast<size_t>(min_samples),
-                                 in != nullptr ? in->pool() : nullptr));
+          model, DecisionTreeModel::Fit(features, labels,
+                                        static_cast<size_t>(max_depth),
+                                        static_cast<size_t>(min_samples),
+                                        in->pool()));
       fit.Attr("nodes", static_cast<uint64_t>(model.NumNodes()));
     }
 
     std::vector<std::string> predictions(features.size());
     {
       TraceSpan score(ctx.trace(), "analytics.decisiontree.score");
-      score.Attr("batch_path", in != nullptr ? "true" : "false");
-      ParallelChunks(in != nullptr ? in->pool() : nullptr, features.size(),
+      ParallelChunks(in->pool(), features.size(),
                      [&](size_t, size_t begin, size_t end) {
                        for (size_t r = begin; r < end; ++r) {
                          predictions[r] = model.Predict(features[r]);

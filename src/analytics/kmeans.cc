@@ -12,7 +12,7 @@ namespace idaa::analytics {
 
 namespace {
 
-/// Deterministic distinct-point centroid seeding shared by both kernels.
+/// Deterministic distinct-point centroid seeding.
 std::vector<std::vector<double>> InitCentroids(
     const std::vector<std::vector<double>>& points, size_t k, uint64_t seed) {
   Rng rng(seed);
@@ -50,58 +50,8 @@ size_t NearestCentroid(const std::vector<std::vector<double>>& centroids,
 }  // namespace
 
 KMeansResult RunKMeans(const std::vector<std::vector<double>>& points,
-                       size_t k, size_t max_iters, uint64_t seed) {
-  KMeansResult result;
-  if (points.empty() || k == 0) return result;
-  const size_t dims = points[0].size();
-  k = std::min(k, points.size());
-
-  // Initialize centroids by sampling distinct points (deterministic).
-  result.centroids = InitCentroids(points, k, seed);
-
-  result.assignments.assign(points.size(), 0);
-  for (size_t iter = 0; iter < max_iters; ++iter) {
-    bool changed = false;
-    // Assignment step.
-    for (size_t p = 0; p < points.size(); ++p) {
-      size_t best_c = NearestCentroid(result.centroids, points[p]);
-      if (result.assignments[p] != best_c) {
-        result.assignments[p] = best_c;
-        changed = true;
-      }
-    }
-    result.iterations = iter + 1;
-    // Update step.
-    std::vector<std::vector<double>> sums(k, std::vector<double>(dims, 0.0));
-    std::vector<size_t> counts(k, 0);
-    for (size_t p = 0; p < points.size(); ++p) {
-      size_t c = result.assignments[p];
-      ++counts[c];
-      for (size_t d = 0; d < dims; ++d) sums[c][d] += points[p][d];
-    }
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) continue;  // keep old centroid for empty cluster
-      for (size_t d = 0; d < dims; ++d) {
-        result.centroids[c][d] = sums[c][d] / static_cast<double>(counts[c]);
-      }
-    }
-    if (!changed) break;
-  }
-
-  result.inertia = 0;
-  for (size_t p = 0; p < points.size(); ++p) {
-    const auto& centroid = result.centroids[result.assignments[p]];
-    for (size_t d = 0; d < dims; ++d) {
-      double diff = points[p][d] - centroid[d];
-      result.inertia += diff * diff;
-    }
-  }
-  return result;
-}
-
-KMeansResult RunKMeansParallel(const std::vector<std::vector<double>>& points,
-                               size_t k, size_t max_iters, uint64_t seed,
-                               ThreadPool* pool) {
+                       size_t k, size_t max_iters, uint64_t seed,
+                       ThreadPool* pool) {
   KMeansResult result;
   if (points.empty() || k == 0) return result;
   const size_t dims = points[0].size();
@@ -205,53 +155,29 @@ class KMeansOperator : public AnalyticsOperator {
     IDAA_ASSIGN_OR_RETURN(std::vector<size_t> columns,
                           ResolveColumns(in_schema, columns_list));
 
-    // Batch path: pinned morsel-parallel feature extraction; the serial
-    // row path remains the automatic fallback.
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
     std::vector<std::vector<double>> points;
     size_t skipped = 0;
-    if (in != nullptr) {
-      auto extracted =
-          in->ExtractFeatures(columns, ctx.trace(), nullptr, &skipped);
-      if (extracted.ok()) {
-        points = std::move(*extracted);
-      } else {
-        in.reset();  // e.g. non-numeric column: serial path owns the error
-      }
-    }
-    if (in == nullptr) {
-      IDAA_ASSIGN_OR_RETURN(std::vector<Row> rows, ctx.ReadTable(input));
-      std::vector<size_t> kept;
-      IDAA_ASSIGN_OR_RETURN(points, ExtractFeatures(rows, columns, &kept));
-      skipped = rows.size() - kept.size();
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
+    IDAA_ASSIGN_OR_RETURN(
+        points, in->ExtractFeatures(columns, ctx.trace(), nullptr, &skipped));
 
     KMeansResult km;
     {
       TraceSpan fit(ctx.trace(), "analytics.kmeans.fit");
-      km = in != nullptr
-               ? RunKMeansParallel(points, static_cast<size_t>(k),
-                                   static_cast<size_t>(max_iters),
-                                   static_cast<uint64_t>(seed), in->pool())
-               : RunKMeans(points, static_cast<size_t>(k),
-                           static_cast<size_t>(max_iters),
-                           static_cast<uint64_t>(seed));
-      fit.Attr("batch_path", in != nullptr ? "true" : "false");
+      km = RunKMeans(points, static_cast<size_t>(k),
+                     static_cast<size_t>(max_iters),
+                     static_cast<uint64_t>(seed), in->pool());
       fit.Attr("rows", static_cast<uint64_t>(points.size()));
       fit.Attr("iterations", static_cast<uint64_t>(km.iterations));
-      if (in != nullptr) {
-        fit.Attr("partial_merges",
-                 static_cast<uint64_t>(NumChunks(points.size())));
-      }
+      fit.Attr("partial_merges",
+               static_cast<uint64_t>(NumChunks(points.size())));
     }
-    const bool batch_used = in != nullptr;
     in.reset();  // release the scan pin before materializing output AOTs
 
-    // Assignments AOT: features + CLUSTER.
+    // Assignments AOT: features + CLUSTER, staged column-major and appended
+    // without Row/Value boxing — the write of an 80k-row assignments AOT
+    // otherwise dominates the whole CALL.
     std::vector<ColumnDef> out_cols;
     for (size_t c : columns) {
       ColumnDef def = in_schema.Column(c);
@@ -261,35 +187,20 @@ class KMeansOperator : public AnalyticsOperator {
     out_cols.push_back({"CLUSTER", DataType::kInteger, false});
     Schema out_schema(std::move(out_cols));
     IDAA_RETURN_IF_ERROR(ctx.RecreateAot(output, out_schema));
-    if (batch_used) {
-      // Stage the output column-major and append without Row/Value boxing
-      // — the write of an 80k-row assignments AOT otherwise dominates the
-      // whole CALL. Stored state is identical to the serial path's rows.
-      accel::ColumnarRows out;
-      out.num_rows = points.size();
-      out.columns.resize(columns.size() + 1);
-      for (size_t j = 0; j < columns.size(); ++j) {
-        std::vector<double>& dst = out.columns[j].doubles;
-        dst.resize(points.size());
-        for (size_t p = 0; p < points.size(); ++p) dst[p] = points[p][j];
-      }
-      std::vector<int64_t>& clus = out.columns[columns.size()].ints;
-      clus.resize(points.size());
-      for (size_t p = 0; p < points.size(); ++p) {
-        clus[p] = static_cast<int64_t>(km.assignments[p]);
-      }
-      IDAA_RETURN_IF_ERROR(ctx.AppendColumnar(output, out));
-    } else {
-      std::vector<Row> out_rows;
-      out_rows.reserve(points.size());
-      for (size_t p = 0; p < points.size(); ++p) {
-        Row row;
-        for (double d : points[p]) row.push_back(Value::Double(d));
-        row.push_back(Value::Integer(static_cast<int64_t>(km.assignments[p])));
-        out_rows.push_back(std::move(row));
-      }
-      IDAA_RETURN_IF_ERROR(ctx.AppendRows(output, out_rows));
+    accel::ColumnarRows out;
+    out.num_rows = points.size();
+    out.columns.resize(columns.size() + 1);
+    for (size_t j = 0; j < columns.size(); ++j) {
+      std::vector<double>& dst = out.columns[j].doubles;
+      dst.resize(points.size());
+      for (size_t p = 0; p < points.size(); ++p) dst[p] = points[p][j];
     }
+    std::vector<int64_t>& clus = out.columns[columns.size()].ints;
+    clus.resize(points.size());
+    for (size_t p = 0; p < points.size(); ++p) {
+      clus[p] = static_cast<int64_t>(km.assignments[p]);
+    }
+    IDAA_RETURN_IF_ERROR(ctx.AppendColumnar(output, out));
 
     // Optional centroids AOT.
     std::string centroids_output = GetParamOr(params, "centroids_output", "");

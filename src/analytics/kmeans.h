@@ -14,8 +14,11 @@ namespace idaa::analytics {
 
 std::unique_ptr<AnalyticsOperator> MakeKMeansOperator();
 
-/// Library entry point (also used by tests/benches directly):
-/// Lloyd's algorithm; returns final centroids and fills assignments/inertia.
+/// Library entry point (also used by tests/benches directly): Lloyd's
+/// algorithm; returns final centroids and fills assignments/inertia.
+/// Assignment and accumulation run over fixed-size chunks on `pool`
+/// (serially when null), per-chunk centroid sums/counts merged in ascending
+/// chunk order — bit-identical for any thread count.
 struct KMeansResult {
   std::vector<std::vector<double>> centroids;
   std::vector<size_t> assignments;
@@ -23,14 +26,7 @@ struct KMeansResult {
   size_t iterations = 0;
 };
 KMeansResult RunKMeans(const std::vector<std::vector<double>>& points,
-                       size_t k, size_t max_iters, uint64_t seed);
-
-/// Morsel-parallel Lloyd's: assignment and accumulation run over fixed-size
-/// chunks on `pool`, per-chunk centroid sums/counts merged in ascending
-/// chunk order — bit-identical for any thread count (including pool ==
-/// nullptr), epsilon-close to the serial RunKMeans row-order accumulation.
-KMeansResult RunKMeansParallel(const std::vector<std::vector<double>>& points,
-                               size_t k, size_t max_iters, uint64_t seed,
-                               ThreadPool* pool);
+                       size_t k, size_t max_iters, uint64_t seed,
+                       ThreadPool* pool);
 
 }  // namespace idaa::analytics

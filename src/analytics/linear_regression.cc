@@ -10,8 +10,7 @@ namespace idaa::analytics {
 
 namespace {
 
-/// Solve (X'X) beta = X'y by Gaussian elimination with partial pivoting;
-/// shared by the serial and morsel-parallel kernels.
+/// Solve (X'X) beta = X'y by Gaussian elimination with partial pivoting.
 Result<std::vector<double>> SolveNormalEquations(
     std::vector<std::vector<double>> a, std::vector<double> b) {
   const size_t p = b.size();
@@ -41,54 +40,8 @@ Result<std::vector<double>> SolveNormalEquations(
 }  // namespace
 
 Result<OlsResult> SolveOls(const std::vector<std::vector<double>>& features,
-                           const std::vector<double>& target) {
-  if (features.size() != target.size() || features.empty()) {
-    return Status::InvalidArgument("OLS: empty or mismatched inputs");
-  }
-  const size_t n = features.size();
-  const size_t p = features[0].size() + 1;  // + intercept
-  if (n < p) {
-    return Status::InvalidArgument("OLS: fewer rows than parameters");
-  }
-
-  // Build X'X (p x p) and X'y (p).
-  std::vector<std::vector<double>> xtx(p, std::vector<double>(p, 0.0));
-  std::vector<double> xty(p, 0.0);
-  for (size_t r = 0; r < n; ++r) {
-    std::vector<double> x(p);
-    x[0] = 1.0;
-    for (size_t j = 1; j < p; ++j) x[j] = features[r][j - 1];
-    for (size_t i = 0; i < p; ++i) {
-      xty[i] += x[i] * target[r];
-      for (size_t j = 0; j < p; ++j) xtx[i][j] += x[i] * x[j];
-    }
-  }
-
-  OlsResult result;
-  IDAA_ASSIGN_OR_RETURN(result.coefficients,
-                        SolveNormalEquations(xtx, xty));
-
-  // Fit statistics.
-  double y_mean = 0;
-  for (double y : target) y_mean += y;
-  y_mean /= static_cast<double>(n);
-  double ss_res = 0, ss_tot = 0;
-  for (size_t r = 0; r < n; ++r) {
-    double pred = result.coefficients[0];
-    for (size_t j = 1; j < p; ++j) {
-      pred += result.coefficients[j] * features[r][j - 1];
-    }
-    ss_res += (target[r] - pred) * (target[r] - pred);
-    ss_tot += (target[r] - y_mean) * (target[r] - y_mean);
-  }
-  result.r2 = ss_tot > 0 ? 1.0 - ss_res / ss_tot : 1.0;
-  result.rmse = std::sqrt(ss_res / static_cast<double>(n));
-  return result;
-}
-
-Result<OlsResult> SolveOlsParallel(
-    const std::vector<std::vector<double>>& features,
-    const std::vector<double>& target, ThreadPool* pool) {
+                           const std::vector<double>& target,
+                           ThreadPool* pool) {
   if (features.size() != target.size() || features.empty()) {
     return Status::InvalidArgument("OLS: empty or mismatched inputs");
   }
@@ -192,24 +145,10 @@ class LinearRegressionOperator : public AnalyticsOperator {
     std::vector<size_t> all_cols = feature_cols;
     all_cols.push_back(target_col);
 
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
-    std::vector<std::vector<double>> matrix;
-    if (in != nullptr) {
-      auto extracted = in->ExtractFeatures(all_cols, ctx.trace());
-      if (extracted.ok()) {
-        matrix = std::move(*extracted);
-      } else {
-        in.reset();  // non-numeric column: serial path owns the error
-      }
-    }
-    if (in == nullptr) {
-      IDAA_ASSIGN_OR_RETURN(std::vector<Row> rows, ctx.ReadTable(input));
-      IDAA_ASSIGN_OR_RETURN(matrix, ExtractFeatures(rows, all_cols));
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
+    IDAA_ASSIGN_OR_RETURN(std::vector<std::vector<double>> matrix,
+                          in->ExtractFeatures(all_cols, ctx.trace()));
     std::vector<std::vector<double>> features;
     std::vector<double> target;
     features.reserve(matrix.size());
@@ -223,16 +162,10 @@ class LinearRegressionOperator : public AnalyticsOperator {
     OlsResult ols;
     {
       TraceSpan fit(ctx.trace(), "analytics.linreg.fit");
-      fit.Attr("batch_path", in != nullptr ? "true" : "false");
       fit.Attr("rows", static_cast<uint64_t>(features.size()));
-      if (in != nullptr) {
-        fit.Attr("partial_merges",
-                 static_cast<uint64_t>(NumChunks(features.size())));
-        IDAA_ASSIGN_OR_RETURN(ols,
-                              SolveOlsParallel(features, target, in->pool()));
-      } else {
-        IDAA_ASSIGN_OR_RETURN(ols, SolveOls(features, target));
-      }
+      fit.Attr("partial_merges",
+               static_cast<uint64_t>(NumChunks(features.size())));
+      IDAA_ASSIGN_OR_RETURN(ols, SolveOls(features, target, in->pool()));
     }
     in.reset();  // release the scan pin before materializing output AOTs
 

@@ -16,20 +16,16 @@ std::unique_ptr<AnalyticsOperator> MakeLinearRegressionOperator();
 
 /// Solve OLS: y ~ X (an intercept column is added internally).
 /// Returns coefficients [intercept, b1..bn]; fails on singular systems.
+/// X'X / X'y / sum-of-squares accumulators are built per fixed-size chunk
+/// on `pool` (serially when null) and merged in ascending chunk order, so
+/// the solution is bit-identical for any thread count.
 struct OlsResult {
   std::vector<double> coefficients;
   double r2 = 0.0;
   double rmse = 0.0;
 };
 Result<OlsResult> SolveOls(const std::vector<std::vector<double>>& features,
-                           const std::vector<double>& target);
-
-/// Morsel-parallel OLS: X'X / X'y / sum-of-squares accumulators are built
-/// per fixed-size chunk on `pool` and merged in ascending chunk order, so
-/// the solution is bit-identical for any thread count and epsilon-close to
-/// the serial SolveOls row-order accumulation.
-Result<OlsResult> SolveOlsParallel(
-    const std::vector<std::vector<double>>& features,
-    const std::vector<double>& target, ThreadPool* pool);
+                           const std::vector<double>& target,
+                           ThreadPool* pool);
 
 }  // namespace idaa::analytics

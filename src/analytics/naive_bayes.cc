@@ -10,47 +10,6 @@ namespace idaa::analytics {
 
 Result<GaussianNbModel> GaussianNbModel::Fit(
     const std::vector<std::vector<double>>& features,
-    const std::vector<std::string>& labels) {
-  if (features.size() != labels.size() || features.empty()) {
-    return Status::InvalidArgument("NB: empty or mismatched inputs");
-  }
-  const size_t dims = features[0].size();
-  GaussianNbModel model;
-
-  std::map<std::string, size_t> counts;
-  for (size_t r = 0; r < features.size(); ++r) {
-    ClassStats& stats = model.classes_[labels[r]];
-    if (stats.mean.empty()) {
-      stats.mean.assign(dims, 0.0);
-      stats.variance.assign(dims, 0.0);
-    }
-    ++counts[labels[r]];
-    for (size_t d = 0; d < dims; ++d) stats.mean[d] += features[r][d];
-  }
-  for (auto& [label, stats] : model.classes_) {
-    double n = static_cast<double>(counts[label]);
-    for (size_t d = 0; d < dims; ++d) stats.mean[d] /= n;
-    stats.prior = n / static_cast<double>(features.size());
-    model.priors_[label] = stats.prior;
-  }
-  for (size_t r = 0; r < features.size(); ++r) {
-    ClassStats& stats = model.classes_[labels[r]];
-    for (size_t d = 0; d < dims; ++d) {
-      double diff = features[r][d] - stats.mean[d];
-      stats.variance[d] += diff * diff;
-    }
-  }
-  for (auto& [label, stats] : model.classes_) {
-    double n = static_cast<double>(counts[label]);
-    for (size_t d = 0; d < dims; ++d) {
-      stats.variance[d] = stats.variance[d] / n + 1e-9;  // smoothed
-    }
-  }
-  return model;
-}
-
-Result<GaussianNbModel> GaussianNbModel::FitParallel(
-    const std::vector<std::vector<double>>& features,
     const std::vector<std::string>& labels, ThreadPool* pool) {
   if (features.size() != labels.size() || features.empty()) {
     return Status::InvalidArgument("NB: empty or mismatched inputs");
@@ -169,66 +128,30 @@ class NaiveBayesOperator : public AnalyticsOperator {
                           ResolveColumns(in_schema, columns_list));
     IDAA_ASSIGN_OR_RETURN(size_t label_col, in_schema.ColumnIndex(label_name));
 
-    std::unique_ptr<AnalyticsInput> in;
-    if (ctx.batch_path_enabled()) {
-      auto opened = ctx.OpenInput(input);
-      if (opened.ok()) in = std::move(*opened);
-    }
-    std::vector<std::vector<double>> features;
-    std::vector<std::string> labels;
-    if (in != nullptr) {
-      auto extracted =
-          in->ExtractLabeledFeatures(feature_cols, label_col, ctx.trace());
-      if (extracted.ok()) {
-        features = std::move(extracted->features);
-        labels = std::move(extracted->labels);
-      } else {
-        in.reset();  // non-numeric column: serial path owns the error
-      }
-    }
-    if (in == nullptr) {
-      IDAA_ASSIGN_OR_RETURN(std::vector<Row> rows, ctx.ReadTable(input));
-      for (const Row& row : rows) {
-        if (row[label_col].is_null()) continue;
-        std::vector<double> feature;
-        bool skip = false;
-        for (size_t c : feature_cols) {
-          if (row[c].is_null()) {
-            skip = true;
-            break;
-          }
-          auto d = row[c].ToDouble();
-          if (!d.ok()) return d.status();
-          feature.push_back(*d);
-        }
-        if (skip) continue;
-        features.push_back(std::move(feature));
-        labels.push_back(row[label_col].ToString());
-      }
-    }
+    IDAA_ASSIGN_OR_RETURN(std::unique_ptr<AnalyticsInput> in,
+                          ctx.OpenInput(input));
+    IDAA_ASSIGN_OR_RETURN(
+        AnalyticsInput::LabeledFeatures extracted,
+        in->ExtractLabeledFeatures(feature_cols, label_col, ctx.trace()));
+    std::vector<std::vector<double>> features = std::move(extracted.features);
+    std::vector<std::string> labels = std::move(extracted.labels);
 
     GaussianNbModel model;
     {
       TraceSpan fit(ctx.trace(), "analytics.naivebayes.fit");
-      fit.Attr("batch_path", in != nullptr ? "true" : "false");
       fit.Attr("rows", static_cast<uint64_t>(features.size()));
-      if (in != nullptr) {
-        fit.Attr("partial_merges",
-                 static_cast<uint64_t>(NumChunks(features.size())));
-        IDAA_ASSIGN_OR_RETURN(
-            model, GaussianNbModel::FitParallel(features, labels, in->pool()));
-      } else {
-        IDAA_ASSIGN_OR_RETURN(model, GaussianNbModel::Fit(features, labels));
-      }
+      fit.Attr("partial_merges",
+               static_cast<uint64_t>(NumChunks(features.size())));
+      IDAA_ASSIGN_OR_RETURN(model,
+                            GaussianNbModel::Fit(features, labels, in->pool()));
     }
 
     // Training-set predictions; each row is independent, so the chunked
-    // parallel scoring is exact (not just epsilon-equal) vs the serial loop.
+    // scoring result does not depend on the thread count.
     std::vector<std::string> predictions(features.size());
     {
       TraceSpan score(ctx.trace(), "analytics.naivebayes.score");
-      score.Attr("batch_path", in != nullptr ? "true" : "false");
-      ParallelChunks(in != nullptr ? in->pool() : nullptr, features.size(),
+      ParallelChunks(in->pool(), features.size(),
                      [&](size_t, size_t begin, size_t end) {
                        for (size_t r = begin; r < end; ++r) {
                          predictions[r] = model.Predict(features[r]);

@@ -17,15 +17,10 @@ std::unique_ptr<AnalyticsOperator> MakeNaiveBayesOperator();
 /// Trained Gaussian NB model, usable directly from C++.
 class GaussianNbModel {
  public:
-  /// Fit from feature rows and string labels.
+  /// Fit from feature rows and string labels: per-chunk class histograms
+  /// (count / mean-sum / variance-sum) on `pool` (serially when null),
+  /// merged in ascending chunk order — bit-identical for any thread count.
   static Result<GaussianNbModel> Fit(
-      const std::vector<std::vector<double>>& features,
-      const std::vector<std::string>& labels);
-
-  /// Morsel-parallel fit: per-chunk class histograms (count / mean-sum /
-  /// variance-sum) merged in ascending chunk order — bit-identical for any
-  /// thread count, epsilon-close to the serial Fit.
-  static Result<GaussianNbModel> FitParallel(
       const std::vector<std::vector<double>>& features,
       const std::vector<std::string>& labels, ThreadPool* pool);
 

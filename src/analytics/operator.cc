@@ -1,6 +1,5 @@
 #include "analytics/operator.h"
 
-#include "accel/accel_executor.h"
 #include "common/string_util.h"
 
 namespace idaa::analytics {
@@ -60,21 +59,6 @@ Result<double> GetDoubleParam(const ParamMap& params, const std::string& key,
     return Status::InvalidArgument("parameter " + key +
                                    " is not a number: " + it->second);
   }
-}
-
-Result<std::vector<Row>> AnalyticsContext::ReadTable(const std::string& name) {
-  IDAA_ASSIGN_OR_RETURN(const TableInfo* info, catalog_->GetTable(name));
-  if (info->kind == TableKind::kDb2Only) {
-    return Status::InvalidArgument(
-        "table " + info->name +
-        " is not on the accelerator; add it with ACCEL_ADD_TABLES first");
-  }
-  IDAA_ASSIGN_OR_RETURN(const accel::ColumnTable* table,
-                        static_cast<const accel::Accelerator*>(accelerator_)
-                            ->GetTable(info->name));
-  return accel::ParallelScan(*table, /*predicate=*/nullptr, txn_->id(),
-                             txn_->snapshot_csn(), *tm_,
-                             accelerator_->thread_pool(), metrics_);
 }
 
 Result<Schema> AnalyticsContext::TableSchema(const std::string& name) const {
@@ -140,30 +124,15 @@ Result<std::vector<size_t>> ResolveColumns(const Schema& schema,
   return out;
 }
 
-Result<std::vector<std::vector<double>>> ExtractFeatures(
-    const std::vector<Row>& rows, const std::vector<size_t>& columns,
-    std::vector<size_t>* kept) {
-  std::vector<std::vector<double>> features;
-  features.reserve(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    std::vector<double> feature;
-    feature.reserve(columns.size());
-    bool skip = false;
-    for (size_t c : columns) {
-      const Value& v = rows[r][c];
-      if (v.is_null()) {
-        skip = true;
-        break;
-      }
-      auto d = v.ToDouble();
-      if (!d.ok()) return d.status();
-      feature.push_back(*d);
+Status CheckNumericColumns(const Schema& schema,
+                           const std::vector<size_t>& columns) {
+  for (size_t c : columns) {
+    if (schema.Column(c).type == DataType::kVarchar) {
+      return Status::InvalidArgument("column " + schema.Column(c).name +
+                                     " is not numeric");
     }
-    if (skip) continue;
-    if (kept != nullptr) kept->push_back(r);
-    features.push_back(std::move(feature));
   }
-  return features;
+  return Status::OK();
 }
 
 }  // namespace idaa::analytics

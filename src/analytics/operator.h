@@ -55,22 +55,13 @@ class AnalyticsContext {
   Transaction* txn() { return txn_; }
   MetricsRegistry* metrics() { return metrics_; }
 
-  /// All rows of an accelerator-resident table visible to the transaction
-  /// (parallel slice scan). Errors if the table is not on the accelerator.
-  Result<std::vector<Row>> ReadTable(const std::string& name);
-
   /// Open an accelerator-resident table as a pinned, morsel-parallel batch
-  /// input (see AnalyticsInput). The input holds the table's scan pin until
-  /// destroyed, so GROOM cannot reclaim rows mid-model-fit; operators must
-  /// release the input before recreating an AOT of the same name.
+  /// input (see AnalyticsInput) — the operators' only way to read their
+  /// input. Errors if the table is not on the accelerator. The input holds
+  /// the table's scan pin until destroyed, so GROOM cannot reclaim rows
+  /// mid-model-fit; operators must release the input before recreating an
+  /// AOT of the same name.
   Result<std::unique_ptr<AnalyticsInput>> OpenInput(const std::string& name);
-
-  /// Whether operators run their morsel-parallel fits (the default) or
-  /// the serial reference fits: the hosting accelerator's
-  /// SetAnalyticsBatchPathEnabled setting.
-  bool batch_path_enabled() const {
-    return accelerator_->analytics_batch_path_enabled();
-  }
 
   /// Trace context the hosting CALL threads through the operator; spans
   /// created under it appear in EXPLAIN ANALYZE with per-morsel timings.
@@ -89,7 +80,7 @@ class AnalyticsContext {
   /// Append rows to an accelerator table under the current transaction.
   Status AppendRows(const std::string& name, const std::vector<Row>& rows);
 
-  /// Columnar fast path for large batch-path outputs: appends staged
+  /// Columnar fast path for large outputs: appends staged
   /// column vectors without materializing Row/Value objects. Stored state
   /// is identical to AppendRows of the equivalent rows.
   Status AppendColumnar(const std::string& name,
@@ -138,11 +129,10 @@ class AnalyticsOperator {
 Result<std::vector<size_t>> ResolveColumns(const Schema& schema,
                                            const std::string& comma_list);
 
-/// Extract a numeric feature matrix (rows x columns) from table rows;
-/// rows with NULL in any selected column are skipped (indices of kept rows
-/// returned via kept, if non-null).
-Result<std::vector<std::vector<double>>> ExtractFeatures(
-    const std::vector<Row>& rows, const std::vector<size_t>& columns,
-    std::vector<size_t>* kept = nullptr);
+/// kInvalidArgument "column X is not numeric" when a selected column is
+/// VARCHAR. Operators check their feature columns with it before any
+/// chunk work, so no kernel ever meets a non-numeric value.
+Status CheckNumericColumns(const Schema& schema,
+                           const std::vector<size_t>& columns);
 
 }  // namespace idaa::analytics

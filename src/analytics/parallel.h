@@ -1,10 +1,9 @@
 // Fixed-chunk parallelism for the analytics kernels. Chunk boundaries
 // depend only on the input size (never on the thread count), and callers
 // merge per-chunk partial states in ascending chunk order — so a kernel's
-// result is bit-identical whether it runs on 1 thread or 16. Only the
-// serial row-at-a-time fallback accumulates in a different (row) order,
-// which is why serial-vs-batch comparisons are epsilon-bounded while
-// batch-vs-batch comparisons across thread counts are exact.
+// result is bit-identical whether it runs on 1 thread, 16, or serially on
+// the caller's thread (pool == nullptr). Each kernel has exactly this one
+// fit.
 
 #pragma once
 

@@ -605,10 +605,6 @@ Result<PreparedStatement> Connection::Prepare(const std::string& sql) {
 // Public entry points
 // ---------------------------------------------------------------------------
 
-Result<federation::ExecResult> Connection::ExecuteSql(const std::string& sql) {
-  return ExecuteCore(sql, {}, nullptr);
-}
-
 Result<federation::StatementResult> Connection::Execute(
     const std::string& sql, const federation::ExecOptions& opts) {
   uint64_t boundary_bytes = 0;
@@ -618,13 +614,15 @@ Result<federation::StatementResult> Connection::Execute(
 }
 
 Result<ResultSet> Connection::Query(const std::string& sql) {
-  IDAA_ASSIGN_OR_RETURN(federation::ExecResult result, ExecuteSql(sql));
+  IDAA_ASSIGN_OR_RETURN(federation::ExecResult result,
+                        ExecuteCore(sql, {}, nullptr));
   return result.result_set;
 }
 
 analytics::SqlExecutor Connection::MakeSqlExecutor() {
   return [this](const std::string& sql) -> Result<analytics::StageResult> {
-    IDAA_ASSIGN_OR_RETURN(federation::ExecResult result, ExecuteSql(sql));
+    IDAA_ASSIGN_OR_RETURN(federation::ExecResult result,
+                          ExecuteCore(sql, {}, nullptr));
     analytics::StageResult stage;
     stage.affected_rows = result.affected_rows != 0
                               ? result.affected_rows

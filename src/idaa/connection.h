@@ -11,7 +11,7 @@
 //   * a replication-aware result cache for auto-commit SELECTs;
 //   * WLM admission (slots / queue / priority / deadline shedding).
 // Prepare() returns a PreparedStatement handle that skips normalization on
-// every Execute; ExecuteSql remains as a compatibility shim over Execute.
+// every Execute.
 
 #pragma once
 
@@ -89,15 +89,10 @@ class Connection {
   /// per-statement-kind histogram, and — past the slow-query threshold —
   /// logged with its rendered trace.
   ///
-  /// DEPRECATED shim: prefer Execute() (richer result) or Prepare() (skips
-  /// re-normalization per call). Kept for source compatibility.
-  Result<federation::ExecResult> ExecuteSql(const std::string& sql);
-
-  /// The statement API: per-statement options (acceleration override, retry
-  /// + queue deadline, tenant, priority, cache controls) in, a
-  /// StatementResult out that surfaces routing, boundary bytes, retries,
-  /// failback and the WLM decisions (plan_cache/result_cache/queued_us/
-  /// tenant/slot).
+  /// Per-statement options (acceleration override, retry + queue deadline,
+  /// tenant, priority, cache controls) in, a StatementResult out that
+  /// surfaces routing, boundary bytes, retries, failback and the WLM
+  /// decisions (plan_cache/result_cache/queued_us/tenant/slot).
   Result<federation::StatementResult> Execute(
       const std::string& sql, const federation::ExecOptions& opts = {});
 
@@ -149,7 +144,7 @@ class Connection {
   Result<federation::ExecResult> ExecuteParsed(
       const sql::Statement& stmt, const federation::Session& session,
       TraceContext tc = {});
-  /// Shared path behind ExecuteSql / Execute / PreparedStatement::Execute:
+  /// Shared path behind Execute / Query / PreparedStatement::Execute:
   /// control-statement interception, per-statement session overrides, plan
   /// cache, result cache, WLM admission, tracing, histograms, invalidation.
   Result<federation::ExecResult> ExecuteCore(const std::string& sql,

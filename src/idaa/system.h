@@ -3,10 +3,10 @@
 // the analytics framework. This is the API the examples and benchmarks use:
 //
 //   idaa::IdaaSystem system;
-//   system.ExecuteSql("CREATE TABLE t (a INT, b DOUBLE)");
-//   system.ExecuteSql("CALL SYSPROC.ACCEL_ADD_TABLES('t')");
-//   system.ExecuteSql("CREATE TABLE stage1 (a INT, s DOUBLE) IN ACCELERATOR");
-//   system.ExecuteSql("INSERT INTO stage1 SELECT a, SUM(b) FROM t GROUP BY a");
+//   system.Execute("CREATE TABLE t (a INT, b DOUBLE)");
+//   system.Execute("CALL SYSPROC.ACCEL_ADD_TABLES('t')");
+//   system.Execute("CREATE TABLE stage1 (a INT, s DOUBLE) IN ACCELERATOR");
+//   system.Execute("INSERT INTO stage1 SELECT a, SUM(b) FROM t GROUP BY a");
 //   auto rs = system.Query("SELECT * FROM stage1 ORDER BY a");
 
 #pragma once
@@ -59,7 +59,7 @@ struct SystemOptions {
 
 /// One embedded IDAA deployment: DB2 + accelerator + glue.
 /// Statement execution is auto-commit unless Begin() opened an explicit
-/// transaction. Not safe for concurrent ExecuteSql from multiple threads on
+/// transaction. Not safe for concurrent Execute from multiple threads on
 /// the *same* IdaaSystem session; use NewSession()-style separate
 /// transactions via the component APIs for concurrency tests.
 class IdaaSystem {
@@ -79,14 +79,8 @@ class IdaaSystem {
 
   /// Parse and execute one SQL statement on the default connection.
   /// "BEGIN"/"COMMIT"/"ROLLBACK" and SET CURRENT QUERY ACCELERATION are
-  /// handled as session control.
-  Result<federation::ExecResult> ExecuteSql(const std::string& sql) {
-    return default_connection_->ExecuteSql(sql);
-  }
-
-  /// Redesigned execution API on the default connection: per-statement
-  /// options in, a StatementResult (routing, boundary bytes, retries,
-  /// failback) out.
+  /// handled as session control. Per-statement options in, a
+  /// StatementResult (routing, boundary bytes, retries, failback) out.
   Result<federation::StatementResult> Execute(
       const std::string& sql, const federation::ExecOptions& opts = {}) {
     return default_connection_->Execute(sql, opts);

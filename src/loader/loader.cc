@@ -32,10 +32,7 @@ std::string LoadReport::Render() const {
                             : "direct-to-accelerator (row)")
                 : "via-DB2")
      << "\n";
-  os << "  pipeline: "
-     << (workers == 0 ? std::string("serial")
-                      : std::to_string(workers) + " workers")
-     << "\n";
+  os << "  pipeline: " << workers << " workers\n";
   os << "  rows: " << rows_loaded << " loaded, " << rows_rejected
      << " rejected, " << bytes << " bytes\n";
   os << "  batches: " << batches << " applied";
@@ -51,82 +48,6 @@ std::string LoadReport::Render() const {
     os << "  reject record " << r.record_index << ": " << r.error << "\n";
   }
   return os.str();
-}
-
-Result<size_t> IdaaLoader::LoadBatch(const TableInfo& info,
-                                     std::vector<Row> batch,
-                                     Transaction* txn) {
-  if (batch.empty()) return size_t{0};
-  if (info.kind == TableKind::kAcceleratorOnly) {
-    // Direct ingestion: external source -> accelerator, no DB2 involvement.
-    IDAA_ASSIGN_OR_RETURN(accel::Accelerator * accelerator, resolver_(info));
-    IDAA_ASSIGN_OR_RETURN(std::vector<Row> shipped,
-                          channel_->SendRowsToAccelerator(batch));
-    IDAA_RETURN_IF_ERROR(
-        accelerator->LoadRows(info.name, shipped, txn->id()));
-    return shipped.size();
-  }
-  // Regular or accelerated DB2 table: DB2 is the system of record; change
-  // capture re-replicates to the accelerator when the table is accelerated.
-  return db2_->InsertRows(info, std::move(batch), txn);
-}
-
-// Legacy serial path (num_workers == 0): one thread pulls typed rows and
-// applies row batches as it goes. Kept verbatim as the benchmarks'
-// baseline; aborts on the first bad record (no reject policy, no resume).
-Result<LoadReport> IdaaLoader::LoadSerial(const TableInfo& info,
-                                          RecordSource* source,
-                                          const LoadOptions& options) {
-  LoadReport report;
-  report.workers = 0;
-  report.direct = info.kind == TableKind::kAcceleratorOnly;
-  size_t batch_size = options.batch_size == 0 ? 1024 : options.batch_size;
-
-  Transaction* txn = tm_->Begin();
-  std::vector<Row> batch;
-  batch.reserve(batch_size);
-
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
-    for (const Row& row : batch) report.bytes += RowByteSize(row);
-    auto loaded = LoadBatch(info, std::move(batch), txn);
-    batch.clear();
-    if (!loaded.ok()) {
-      (void)tm_->Abort(txn);
-      db2_->lock_manager().ReleaseAll(txn->id());
-      return loaded.status();
-    }
-    report.rows_loaded += *loaded;
-    ++report.batches;
-    metrics_->Add(metric::kLoaderRowsIngested, *loaded);
-    if (options.commit_per_batch) {
-      IDAA_RETURN_IF_ERROR(tm_->Commit(txn));
-      db2_->lock_manager().ReleaseAll(txn->id());
-      metrics_->Increment(metric::kLoaderBatchesCommitted);
-      txn = tm_->Begin();
-    }
-    return Status::OK();
-  };
-
-  while (true) {
-    auto next = source->Next();
-    if (!next.ok()) {
-      (void)tm_->Abort(txn);
-      db2_->lock_manager().ReleaseAll(txn->id());
-      return next.status();
-    }
-    if (!next->has_value()) break;
-    batch.push_back(std::move(**next));
-    if (batch.size() >= batch_size) {
-      IDAA_RETURN_IF_ERROR(flush());
-    }
-  }
-  IDAA_RETURN_IF_ERROR(flush());
-  IDAA_RETURN_IF_ERROR(tm_->Commit(txn));
-  db2_->lock_manager().ReleaseAll(txn->id());
-  metrics_->Add(metric::kLoaderBytesIngested, report.bytes);
-  report.resume_token = options.commit_per_batch ? report.batches : 0;
-  return report;
 }
 
 Result<LoadReport> IdaaLoader::LoadPipelined(const TableInfo& info,
@@ -284,9 +205,8 @@ Result<LoadReport> IdaaLoader::Load(const std::string& table_name,
         "resume_token requires commit_per_batch (atomic loads are "
         "all-or-nothing)");
   }
-  if (options.resume_token > 0 && options.num_workers == 0) {
-    return Status::InvalidArgument(
-        "resume_token requires the pipelined loader (num_workers >= 1)");
+  if (options.num_workers == 0) {
+    return Status::InvalidArgument("num_workers must be >= 1");
   }
 
   TraceSpan load_span(options.trace, "load");
@@ -295,9 +215,7 @@ Result<LoadReport> IdaaLoader::Load(const std::string& table_name,
   opts.trace = load_span.context();
 
   const uint64_t start_ns = TraceNowNs();
-  Result<LoadReport> result = opts.num_workers == 0
-                                  ? LoadSerial(*info, source, opts)
-                                  : LoadPipelined(*info, source, opts);
+  Result<LoadReport> result = LoadPipelined(*info, source, opts);
   if (!result.ok()) return result.status();
   result->duration_us = (TraceNowNs() - start_ns) / 1000;
   load_span.Attr("rows", result->rows_loaded);

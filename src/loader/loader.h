@@ -17,8 +17,8 @@
 //                                              (+ replication) otherwise
 //
 // Both queues are bounded by queue_depth, so memory stays O(queue depth)
-// regardless of input size. num_workers = 0 selects the legacy serial
-// row-at-a-time path (the benchmarks' baseline).
+// regardless of input size. The pipeline is the only load path; at
+// num_workers = 1 it is the benchmarks' single-worker baseline.
 
 #pragma once
 
@@ -62,7 +62,7 @@ struct LoadOptions {
   /// Commit after every batch (the loader's normal restartable mode);
   /// false = one all-or-nothing transaction for the whole load.
   bool commit_per_batch = true;
-  /// Parse/convert workers. 0 = legacy serial row-at-a-time path.
+  /// Parse/convert workers (>= 1; 0 is rejected as InvalidArgument).
   size_t num_workers = 4;
   /// Bound on queued record chunks and on parsed batches awaiting commit.
   size_t queue_depth = 8;
@@ -143,12 +143,8 @@ class IdaaLoader {
                           const LoadOptions& options = {});
 
  private:
-  Result<LoadReport> LoadSerial(const TableInfo& info, RecordSource* source,
-                                const LoadOptions& options);
   Result<LoadReport> LoadPipelined(const TableInfo& info, RecordSource* source,
                                    const LoadOptions& options);
-  Result<size_t> LoadBatch(const TableInfo& info, std::vector<Row> batch,
-                           Transaction* txn);
 
   Catalog* catalog_;
   db2::Db2Engine* db2_;

@@ -256,6 +256,15 @@ Result<Value> EvalFunction(const BoundExpr& expr,
   return Status::SemanticError("unknown function: " + fn);
 }
 
+/// Two's-complement int64 addition, wrapping mod 2^64 on overflow — the
+/// integer SUM's overflow result, which AccumulateInt64Run's folded
+/// multiply-add reproduces. Adding in uint64_t keeps the wrap defined; a
+/// signed `+=` that overflows is undefined behaviour.
+int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 }  // namespace
 
 Result<Value> EvalExpr(const BoundExpr& expr, const Row& row) {
@@ -414,7 +423,7 @@ void AggregateAccumulator::Accumulate(const Value& v) {
     if (cmp_max.ok() && *cmp_max > 0) max_ = v;
   }
   if (v.is_integer()) {
-    int_sum_ += v.AsInteger();
+    int_sum_ = WrappingAdd(int_sum_, v.AsInteger());
     sum_ += static_cast<double>(v.AsInteger());
     sum_sq_ += static_cast<double>(v.AsInteger()) * v.AsInteger();
   } else {
@@ -439,7 +448,7 @@ void AggregateAccumulator::AccumulateInt64(int64_t v) {
     if (v < min_.AsInteger()) min_ = Value::Integer(v);
     if (v > max_.AsInteger()) max_ = Value::Integer(v);
   }
-  int_sum_ += v;
+  int_sum_ = WrappingAdd(int_sum_, v);
   sum_ += static_cast<double>(v);
   sum_sq_ += static_cast<double>(v) * v;
 }
@@ -530,7 +539,7 @@ Status AggregateAccumulator::Merge(const AggregateAccumulator& other) {
   row_count_ += other.row_count_;
   non_null_count_ += other.non_null_count_;
   sum_ += other.sum_;
-  int_sum_ += other.int_sum_;
+  int_sum_ = WrappingAdd(int_sum_, other.int_sum_);
   int_exact_ = int_exact_ && other.int_exact_;
   sum_sq_ += other.sum_sq_;
   if (min_.is_null()) {

@@ -1,13 +1,14 @@
-// Numerical-equivalence and determinism suite for the morsel-parallel
-// analytics operators (the batch path):
-//  1. Per operator: parallel-batch results match the serial row path —
-//     bit-exact for integer/categorical outputs (DISCRETIZE, ONEHOT,
-//     SAMPLE, SUMMARIZE, APRIORI, DECISIONTREE), within epsilon for
-//     floating-point model state (KMEANS, LINREG, NAIVEBAYES, NORMALIZE,
-//     IMPUTE means).
-//  2. Determinism: the batch path produces bit-identical results (%.17g)
-//     regardless of the accelerator's thread count, because the chunked
-//     partial states are fixed-size and merged in ascending order.
+// Oracle and determinism suite for the morsel-parallel analytics operators
+// (every CALL IDAA.* operator has exactly one fit):
+//  1. Per operator: results checked against an oracle — DB2 SQL over the
+//     replicated input table (NORMALIZE, SUMMARIZE, IMPUTE, DISCRETIZE,
+//     ONEHOT, NAIVEBAYES, APRIORI, LINREG) or a property the output must
+//     satisfy (KMEANS, DECISIONTREE, SAMPLE), at a relative tolerance of
+//     1e-9 for floating-point values. The suite's test names predate the
+//     oracles; each now checks the oracle its comment states.
+//  2. Determinism: results are bit-identical (%.17g) regardless of the
+//     accelerator's thread count, because the chunked partial states are
+//     fixed-size and merged in ascending order.
 //  3. Scan-pin regression: an open AnalyticsInput holds the table's groom
 //     pin, so GROOM cannot reclaim or rebuild rows mid-model-fit.
 
@@ -16,6 +17,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +46,7 @@ SystemOptions AnalyticsOptions(size_t threads) {
 /// Deterministic feature table: three well-separated Gaussian clusters (so
 /// k-means assignments are robust to epsilon-level centroid differences), a
 /// linear y = 2x + 3 relation for LINREG, categorical columns for the
-/// classifiers, and NULLs sprinkled into x.
+/// classifiers, and NULLs sprinkled into x and cat.
 void SeedFeatures(IdaaSystem& system, size_t rows) {
   ASSERT_TRUE(system
                   .Execute("CREATE TABLE feats (id INT NOT NULL, x DOUBLE, "
@@ -66,7 +71,8 @@ void SeedFeatures(IdaaSystem& system, size_t rows) {
     return Row{Value::Integer(static_cast<int64_t>(i)),
                i % 17 == 13 ? Value::Null() : Value::Double(xv),
                Value::Double(yv), Value::Double(zv),
-               Value::Varchar(kCats[i % 3]), Value::Varchar(kLabels[cluster])};
+               i % 29 == 5 ? Value::Null() : Value::Varchar(kCats[i % 3]),
+               Value::Varchar(kLabels[cluster])};
   });
   loader::LoadOptions options;
   options.batch_size = 4096;
@@ -113,9 +119,7 @@ std::string CanonicalRow(const Row& row) {
 }
 
 /// SELECT row order is not contractual across scan paths, so output tables
-/// are compared as canonically-sorted row lists. Every table here either
-/// has a unique leading id or bit-identical values in both runs, so the
-/// sort pairs up the same logical rows.
+/// are compared as canonically-sorted row lists.
 std::vector<Row> SortedRows(const ResultSet& rs) {
   std::vector<Row> rows = rs.rows();
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -124,231 +128,593 @@ std::vector<Row> SortedRows(const ResultSet& rs) {
   return rows;
 }
 
-struct OpCapture {
-  std::vector<Row> summary;                 // CALL result, in emitted order
-  std::vector<std::vector<Row>> outputs;    // sorted rows per output AOT
-};
-
-/// Run one CALL with the accelerator's batch path toggled as requested,
-/// then read the output AOTs back (always on the default path, so the CALL
-/// toggle is the only variable).
-OpCapture RunOp(IdaaSystem& system, bool batch_path, const std::string& call,
-                const std::vector<std::string>& outputs) {
-  system.accelerator().SetAnalyticsBatchPathEnabled(batch_path);
-  auto rs = system.Query(call);
-  system.accelerator().SetAnalyticsBatchPathEnabled(true);
-  EXPECT_TRUE(rs.ok()) << call << ": " << rs.status().ToString();
-  OpCapture cap;
-  if (!rs.ok()) return cap;
-  cap.summary = rs->rows();
-  for (const std::string& table : outputs) {
-    auto out = system.Query("SELECT * FROM " + table);
-    EXPECT_TRUE(out.ok()) << table << ": " << out.status().ToString();
-    cap.outputs.push_back(out.ok() ? SortedRows(*out) : std::vector<Row>{});
-  }
-  return cap;
+std::vector<std::string> SortedCanonical(const ResultSet& rs) {
+  std::vector<std::string> lines;
+  for (const Row& row : rs.rows()) lines.push_back(CanonicalRow(row));
+  std::sort(lines.begin(), lines.end());
+  return lines;
 }
 
-void ExpectRowsNear(const std::vector<Row>& batch,
-                    const std::vector<Row>& serial, double rel_tol,
-                    const std::string& what) {
-  ASSERT_EQ(batch.size(), serial.size()) << what;
-  for (size_t r = 0; r < batch.size(); ++r) {
-    ASSERT_EQ(batch[r].size(), serial[r].size()) << what << " row " << r;
-    for (size_t c = 0; c < batch[r].size(); ++c) {
-      const Value& a = batch[r][c];
-      const Value& b = serial[r][c];
-      if (a.is_double() && b.is_double()) {
-        double scale = std::max(
-            1.0, std::max(std::abs(a.AsDouble()), std::abs(b.AsDouble())));
-        EXPECT_NEAR(a.AsDouble(), b.AsDouble(), rel_tol * scale)
-            << what << " row " << r << " col " << c;
-      } else {
-        EXPECT_EQ(a.ToString(), b.ToString())
-            << what << " row " << r << " col " << c;
-      }
-    }
-  }
-}
-
-void ExpectRowsExact(const std::vector<Row>& batch,
-                     const std::vector<Row>& serial, const std::string& what) {
-  ASSERT_EQ(batch.size(), serial.size()) << what;
-  for (size_t r = 0; r < batch.size(); ++r) {
-    EXPECT_EQ(CanonicalRow(batch[r]), CanonicalRow(serial[r]))
-        << what << " row " << r;
-  }
-}
-
-void ExpectCapturesNear(const OpCapture& batch, const OpCapture& serial,
-                        double rel_tol, const std::string& what) {
-  ExpectRowsNear(batch.summary, serial.summary, rel_tol, what + " summary");
-  ASSERT_EQ(batch.outputs.size(), serial.outputs.size());
-  for (size_t t = 0; t < batch.outputs.size(); ++t) {
-    ExpectRowsNear(batch.outputs[t], serial.outputs[t], rel_tol,
-                   what + " output " + std::to_string(t));
-  }
-}
-
-void ExpectCapturesExact(const OpCapture& batch, const OpCapture& serial,
-                         const std::string& what) {
-  ExpectRowsExact(batch.summary, serial.summary, what + " summary");
-  ASSERT_EQ(batch.outputs.size(), serial.outputs.size());
-  for (size_t t = 0; t < batch.outputs.size(); ++t) {
-    ExpectRowsExact(batch.outputs[t], serial.outputs[t],
-                    what + " output " + std::to_string(t));
-  }
-}
-
-constexpr double kRelTol = 1e-6;
+constexpr double kRelTol = 1e-9;
 constexpr size_t kRows = 5000;  // > one 4096-row chunk: real partial merges
 
+void ExpectNear(double got, double want, const std::string& what) {
+  const double scale =
+      std::max(1.0, std::max(std::abs(got), std::abs(want)));
+  EXPECT_NEAR(got, want, kRelTol * scale) << what;
+}
+
+/// Value of a named column of a result row.
+const Value& Col(const ResultSet& rs, size_t row, const std::string& name) {
+  auto idx = rs.schema().ColumnIndex(name);
+  EXPECT_TRUE(idx.ok()) << name;
+  return rs.At(row, idx.ok() ? *idx : 0);
+}
+
+/// Operator outputs are checked against oracles, never against another
+/// run of the same operator: DB2 SQL over the (replicated) input table, or
+/// a property the output must satisfy.
 class AnalyticsEquivalenceTest : public ::testing::Test {
  protected:
   AnalyticsEquivalenceTest() : system_(AnalyticsOptions(4)) {}
 
   void SetUp() override { SeedFeatures(system_, kRows); }
 
-  /// Batch-vs-serial differential run of one CALL.
-  void Compare(const std::string& call, const std::vector<std::string>& outs,
-               bool exact) {
-    OpCapture batch = RunOp(system_, /*batch_path=*/true, call, outs);
-    OpCapture serial = RunOp(system_, /*batch_path=*/false, call, outs);
-    if (exact) {
-      ExpectCapturesExact(batch, serial, call);
-    } else {
-      ExpectCapturesNear(batch, serial, kRelTol, call);
+  /// The CALL's summary result set.
+  ResultSet Call(const std::string& call) {
+    auto rs = system_.Query(call);
+    EXPECT_TRUE(rs.ok()) << call << ": " << rs.status().ToString();
+    return rs.ok() ? *rs : ResultSet{};
+  }
+
+  /// A query on the default routing (output AOTs live on the accelerator).
+  ResultSet Accel(const std::string& sql) {
+    auto rs = system_.Query(sql);
+    EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+    return rs.ok() ? *rs : ResultSet{};
+  }
+
+  /// The oracle: `sql` on DB2 (CURRENT QUERY ACCELERATION = NONE).
+  ResultSet Db2(const std::string& sql) {
+    const federation::AccelerationMode mode = system_.acceleration_mode();
+    system_.SetAccelerationMode(federation::AccelerationMode::kNone);
+    auto rs = system_.Query(sql);
+    system_.SetAccelerationMode(mode);
+    EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+    return rs.ok() ? *rs : ResultSet{};
+  }
+
+  /// DB2's copy of the input rows, keyed by id.
+  std::map<int64_t, Row> Db2FeatsById() {
+    std::map<int64_t, Row> by_id;
+    ResultSet feats = Db2("SELECT * FROM feats");
+    for (const Row& row : feats.rows()) {
+      by_id[row[0].AsInteger()] = row;
     }
+    return by_id;
+  }
+
+  /// Summary value of a METRIC/VALUE (or TERM/VALUE) result set.
+  static double Metric(const ResultSet& rs, const std::string& key) {
+    for (const Row& row : rs.rows()) {
+      if (row[0].AsVarchar() == key) return row[1].AsDouble();
+    }
+    ADD_FAILURE() << "no summary row " << key;
+    return 0.0;
   }
 
   IdaaSystem system_;
 };
 
 TEST_F(AnalyticsEquivalenceTest, KMeansMatchesSerial) {
-  // Integer parts of the summary (k, iterations, rows, skipped) and the
-  // full assignments AOT must be identical; inertia is epsilon-compared.
-  Compare("CALL IDAA.KMEANS('input=feats', 'output=feats_k', "
-          "'centroids_output=feats_c', 'columns=x,y,z', 'k=3', 'seed=5')",
-          {"feats_k"}, /*exact=*/false);
+  // Summary and centroids: the fit converged (ITERATIONS < max_iters), so
+  // each centroid is the mean of its assigned points; INERTIA is the sum of
+  // squared point-to-centroid distances; ROWS/SKIPPED_NULL_ROWS are DB2's
+  // complete/incomplete row counts.
+  ResultSet summary =
+      Call("CALL IDAA.KMEANS('input=feats', 'output=feats_k', "
+           "'centroids_output=feats_c', 'columns=x,y,z', 'k=3', "
+           "'max_iters=25', 'seed=5')");
+  ASSERT_EQ(summary.NumRows(), 1u);
+  EXPECT_EQ(Col(summary, 0, "K").AsInteger(), 3);
+  EXPECT_LT(Col(summary, 0, "ITERATIONS").AsInteger(), 25);
+  ResultSet counts = Db2(
+      "SELECT SUM(CASE WHEN x IS NOT NULL AND y IS NOT NULL AND z IS NOT "
+      "NULL THEN 1 ELSE 0 END), COUNT(*) FROM feats");
+  const int64_t complete = counts.At(0, 0).AsInteger();
+  EXPECT_EQ(Col(summary, 0, "ROWS").AsInteger(), complete);
+  EXPECT_EQ(Col(summary, 0, "SKIPPED_NULL_ROWS").AsInteger(),
+            counts.At(0, 1).AsInteger() - complete);
+
+  ResultSet means = Accel(
+      "SELECT c.cluster, c.x, c.y, c.z, AVG(k.x), AVG(k.y), AVG(k.z), "
+      "COUNT(*) FROM feats_c c JOIN feats_k k ON c.cluster = k.cluster "
+      "GROUP BY c.cluster, c.x, c.y, c.z");
+  ASSERT_EQ(means.NumRows(), 3u);
+  int64_t assigned = 0;
+  for (const Row& row : means.rows()) {
+    for (size_t d = 0; d < 3; ++d) {
+      ExpectNear(row[1 + d].AsDouble(), row[4 + d].AsDouble(),
+                 "centroid " + row[0].ToString() + " dim " +
+                     std::to_string(d));
+    }
+    assigned += row[7].AsInteger();
+  }
+  EXPECT_EQ(assigned, complete);
+
+  ResultSet inertia = Accel(
+      "SELECT SUM((k.x - c.x) * (k.x - c.x) + (k.y - c.y) * (k.y - c.y) + "
+      "(k.z - c.z) * (k.z - c.z)) FROM feats_k k JOIN feats_c c "
+      "ON k.cluster = c.cluster");
+  ExpectNear(Col(summary, 0, "INERTIA").AsDouble(), inertia.At(0, 0).AsDouble(),
+             "inertia");
 }
 
 TEST_F(AnalyticsEquivalenceTest, KMeansAssignmentsExact) {
-  // With well-separated clusters, the assignments AOT (input features +
-  // CLUSTER) is bit-identical: extraction is exact and no point sits near
-  // a centroid boundary.
-  OpCapture batch = RunOp(
-      system_, true,
-      "CALL IDAA.KMEANS('input=feats', 'output=feats_k', 'columns=x,y,z', "
-      "'k=3', 'seed=5')",
-      {"feats_k"});
-  OpCapture serial = RunOp(
-      system_, false,
-      "CALL IDAA.KMEANS('input=feats', 'output=feats_k', 'columns=x,y,z', "
-      "'k=3', 'seed=5')",
-      {"feats_k"});
-  ASSERT_EQ(batch.outputs.size(), 1u);
-  ASSERT_EQ(serial.outputs.size(), 1u);
-  ExpectRowsExact(batch.outputs[0], serial.outputs[0], "kmeans assignments");
+  // The assignments AOT holds exactly DB2's complete (x, y, z) rows, and
+  // every point's CLUSTER is its nearest centroid.
+  Call("CALL IDAA.KMEANS('input=feats', 'output=feats_k', "
+       "'centroids_output=feats_c', 'columns=x,y,z', 'k=3', 'seed=5')");
+  EXPECT_EQ(SortedCanonical(Accel("SELECT x, y, z FROM feats_k")),
+            SortedCanonical(Db2("SELECT x, y, z FROM feats WHERE x IS NOT "
+                                "NULL AND y IS NOT NULL AND z IS NOT NULL")));
+
+  std::vector<std::vector<double>> centroids(3);
+  ResultSet centroid_rows = Accel("SELECT cluster, x, y, z FROM feats_c");
+  for (const Row& row : centroid_rows.rows()) {
+    centroids.at(static_cast<size_t>(row[0].AsInteger())) = {
+        row[1].AsDouble(), row[2].AsDouble(), row[3].AsDouble()};
+  }
+  ResultSet points = Accel("SELECT x, y, z, cluster FROM feats_k");
+  ASSERT_GT(points.NumRows(), 0u);
+  size_t wrong = 0;
+  for (const Row& row : points.rows()) {
+    size_t best = 0;
+    double best_dist = std::numeric_limits<double>::max();
+    for (size_t c = 0; c < centroids.size(); ++c) {
+      double dist = 0;
+      for (size_t d = 0; d < 3; ++d) {
+        double diff = row[d].AsDouble() - centroids[c].at(d);
+        dist += diff * diff;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = c;
+      }
+    }
+    if (static_cast<int64_t>(best) != row[3].AsInteger()) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u) << "points not assigned to their nearest centroid";
 }
 
 TEST_F(AnalyticsEquivalenceTest, LinregMatchesSerial) {
-  Compare("CALL IDAA.LINREG('input=feats', 'target=y', 'columns=x', "
-          "'output=feats_r')",
-          {"feats_r"}, /*exact=*/false);
+  // The OLS normal equations: residuals of the reported fit sum to zero and
+  // are orthogonal to x — computed by DB2 over the input table. R2, RMSE
+  // and ROWS follow from the same residuals.
+  ResultSet summary =
+      Call("CALL IDAA.LINREG('input=feats', 'target=y', 'columns=x', "
+           "'output=feats_r')");
+  const double b0 = Metric(summary, "INTERCEPT");
+  const double b1 = Metric(summary, "X");
+  const std::string fit = StrFormat("(%.17g + %.17g * x)", b0, b1);
+  ResultSet oracle = Db2(
+      "SELECT SUM(y - " + fit + "), SUM(x * (y - " + fit + ")), "
+      "SUM(ABS(y)), SUM(ABS(x * y)), SUM((y - " + fit + ") * (y - " + fit +
+      ")), VARIANCE(y), COUNT(*) FROM feats WHERE x IS NOT NULL AND y IS "
+      "NOT NULL");
+  ASSERT_EQ(oracle.NumRows(), 1u);
+  const double n = static_cast<double>(oracle.At(0, 6).AsInteger());
+  EXPECT_LE(std::abs(oracle.At(0, 0).AsDouble()),
+            kRelTol * oracle.At(0, 2).AsDouble())
+      << "SUM(y - yhat)";
+  EXPECT_LE(std::abs(oracle.At(0, 1).AsDouble()),
+            kRelTol * oracle.At(0, 3).AsDouble())
+      << "SUM(x * (y - yhat))";
+  const double ss_res = oracle.At(0, 4).AsDouble();
+  ExpectNear(Metric(summary, "RMSE"), std::sqrt(ss_res / n), "rmse");
+  ExpectNear(Metric(summary, "R2"),
+             1.0 - ss_res / (oracle.At(0, 5).AsDouble() * n), "r2");
+  EXPECT_EQ(Metric(summary, "ROWS"), n);
+  EXPECT_NEAR(b1, 2.0, 0.05);  // the seeded relation is y = 2x + 3 + noise
+
+  // Predictions AOT: PREDICTED is the fit at X, RESIDUAL = ACTUAL - PREDICTED.
+  ResultSet out = Accel("SELECT x, actual, predicted, residual FROM feats_r");
+  EXPECT_EQ(static_cast<double>(out.NumRows()), n);
+  for (const Row& row : out.rows()) {
+    ExpectNear(row[2].AsDouble(), b0 + b1 * row[0].AsDouble(), "predicted");
+    ExpectNear(row[3].AsDouble(), row[1].AsDouble() - row[2].AsDouble(),
+               "residual");
+  }
 }
 
 TEST_F(AnalyticsEquivalenceTest, NaiveBayesMatchesSerial) {
-  Compare("CALL IDAA.NAIVEBAYES('input=feats', 'label=label', "
-          "'columns=x,z', 'output=feats_nb')",
-          {"feats_nb"}, /*exact=*/false);
+  // Priors are DB2's per-label COUNT shares; every prediction is the
+  // Gaussian NB argmax under DB2's per-label AVG/VARIANCE (+ the 1e-9
+  // smoothing); TRAIN_ACCURACY is the share of matching output rows.
+  ResultSet summary =
+      Call("CALL IDAA.NAIVEBAYES('input=feats', 'label=label', "
+           "'columns=x,z', 'output=feats_nb')");
+  ResultSet classes = Db2(
+      "SELECT label, COUNT(*), AVG(x), VARIANCE(x), AVG(z), VARIANCE(z) "
+      "FROM feats WHERE label IS NOT NULL AND x IS NOT NULL AND z IS NOT "
+      "NULL GROUP BY label");
+  ASSERT_EQ(classes.NumRows(), 3u);
+  int64_t total = 0;
+  for (const Row& row : classes.rows()) total += row[1].AsInteger();
+  EXPECT_EQ(Metric(summary, "ROWS"), static_cast<double>(total));
+
+  struct ClassModel {
+    std::string label;
+    double prior;
+    double mean[2], var[2];
+  };
+  std::vector<ClassModel> model;
+  for (const Row& row : classes.rows()) {
+    ClassModel m{row[0].AsVarchar(),
+                 static_cast<double>(row[1].AsInteger()) / total,
+                 {row[2].AsDouble(), row[4].AsDouble()},
+                 {row[3].AsDouble() + 1e-9, row[5].AsDouble() + 1e-9}};
+    ExpectNear(Metric(summary, "PRIOR_" + m.label), m.prior,
+               "prior " + m.label);
+    model.push_back(m);
+  }
+
+  ResultSet out = Accel("SELECT x, z, actual, predicted FROM feats_nb");
+  EXPECT_EQ(out.NumRows(), static_cast<size_t>(total));
+  size_t mismatched = 0, correct = 0;
+  for (const Row& row : out.rows()) {
+    const double f[2] = {row[0].AsDouble(), row[1].AsDouble()};
+    double best = -std::numeric_limits<double>::max();
+    std::string best_label;
+    for (const ClassModel& m : model) {
+      double score = std::log(m.prior);
+      for (size_t d = 0; d < 2; ++d) {
+        double diff = f[d] - m.mean[d];
+        score += -0.5 * std::log(2.0 * M_PI * m.var[d]) -
+                 diff * diff / (2.0 * m.var[d]);
+      }
+      if (score > best) {
+        best = score;
+        best_label = m.label;
+      }
+    }
+    if (best_label != row[3].AsVarchar()) ++mismatched;
+    if (row[2].AsVarchar() == row[3].AsVarchar()) ++correct;
+  }
+  EXPECT_EQ(mismatched, 0u);
+  ExpectNear(Metric(summary, "TRAIN_ACCURACY"),
+             static_cast<double>(correct) / static_cast<double>(total),
+             "train accuracy");
 }
 
 TEST_F(AnalyticsEquivalenceTest, DecisionTreeMatchesSerial) {
-  // The parallel split search reduces per-feature bests in ascending
-  // feature order with a strict improvement test, replicating the serial
-  // tie-breaking — the whole run is exact.
-  Compare("CALL IDAA.DECISIONTREE('input=feats', 'label=label', "
-          "'columns=x,z', 'max_depth=4', 'output=feats_dt')",
-          {"feats_dt"}, /*exact=*/true);
+  // TRAIN_ACCURACY is the share of output rows whose prediction matches
+  // the label; the output holds exactly DB2's complete (x, z, label) rows.
+  ResultSet summary =
+      Call("CALL IDAA.DECISIONTREE('input=feats', 'label=label', "
+           "'columns=x,z', 'max_depth=4', 'output=feats_dt')");
+  ResultSet scored = Accel(
+      "SELECT SUM(CASE WHEN actual = predicted THEN 1 ELSE 0 END), COUNT(*) "
+      "FROM feats_dt");
+  const double correct = static_cast<double>(scored.At(0, 0).AsInteger());
+  const double rows = static_cast<double>(scored.At(0, 1).AsInteger());
+  ExpectNear(Metric(summary, "TRAIN_ACCURACY"), correct / rows,
+             "train accuracy");
+  EXPECT_GT(correct / rows, 0.9);  // the three label clusters are separable
+  EXPECT_EQ(Metric(summary, "ROWS"), rows);
+  EXPECT_EQ(SortedCanonical(Accel("SELECT x, z, actual FROM feats_dt")),
+            SortedCanonical(Db2("SELECT x, z, label FROM feats WHERE x IS "
+                                "NOT NULL AND z IS NOT NULL AND label IS NOT "
+                                "NULL")));
 }
 
 TEST_F(AnalyticsEquivalenceTest, AprioriMatchesSerial) {
+  // Every itemset of up to max_size items is reported iff its DB2
+  // COUNT(DISTINCT tid) share of the transactions reaches min_support, with
+  // that share as its SUPPORT.
   SeedBasket(system_, 300);
-  // Support counts are integers and the per-tid grouping is set-union:
-  // exact on both the summary and the itemsets AOT.
-  Compare("CALL IDAA.APRIORI('input=basket', 'tid_column=tid', "
-          "'item_column=item', 'min_support=0.2', 'max_size=3', "
-          "'output=basket_fi')",
-          {"basket_fi"}, /*exact=*/true);
+  Call("CALL IDAA.APRIORI('input=basket', 'tid_column=tid', "
+       "'item_column=item', 'min_support=0.2', 'max_size=3', "
+       "'output=basket_fi')");
+  std::map<std::string, double> reported;
+  ResultSet out = Accel("SELECT itemset, size, support FROM basket_fi");
+  for (const Row& row : out.rows()) {
+    reported[row[0].AsVarchar()] = row[2].AsDouble();
+    EXPECT_EQ(static_cast<size_t>(row[1].AsInteger()),
+              Split(row[0].AsVarchar(), ',').size());
+  }
+  const double transactions = static_cast<double>(
+      Db2("SELECT COUNT(DISTINCT tid) FROM basket WHERE item IS NOT NULL")
+          .At(0, 0)
+          .AsInteger());
+  std::vector<std::string> items;
+  ResultSet distinct_items =
+      Db2("SELECT DISTINCT item FROM basket WHERE item IS NOT NULL");
+  for (const Row& row : distinct_items.rows()) {
+    items.push_back(row[0].AsVarchar());
+  }
+  std::sort(items.begin(), items.end());
+  ASSERT_EQ(items.size(), 5u);
+
+  // All itemsets of 1..3 items, as sorted item lists.
+  std::vector<std::vector<std::string>> itemsets;
+  for (size_t a = 0; a < items.size(); ++a) {
+    itemsets.push_back({items[a]});
+    for (size_t b = a + 1; b < items.size(); ++b) {
+      itemsets.push_back({items[a], items[b]});
+      for (size_t c = b + 1; c < items.size(); ++c) {
+        itemsets.push_back({items[a], items[b], items[c]});
+      }
+    }
+  }
+  size_t frequent = 0;
+  for (const std::vector<std::string>& set : itemsets) {
+    std::string from = "basket b0", where;
+    for (size_t i = 0; i < set.size(); ++i) {
+      const std::string alias = "b" + std::to_string(i);
+      if (i > 0) from += " JOIN basket " + alias + " ON b0.tid = " + alias +
+                         ".tid";
+      where += (i > 0 ? " AND " : "") + alias + ".item = '" + set[i] + "'";
+    }
+    const double support =
+        static_cast<double>(Db2("SELECT COUNT(DISTINCT b0.tid) FROM " +
+                                from + " WHERE " + where)
+                                .At(0, 0)
+                                .AsInteger()) /
+        transactions;
+    const std::string key = Join(set, ",");
+    auto it = reported.find(key);
+    if (support >= 0.2) {
+      ++frequent;
+      ASSERT_NE(it, reported.end()) << "frequent itemset missing: " << key;
+      ExpectNear(it->second, support, "support of " + key);
+    } else {
+      EXPECT_EQ(it, reported.end()) << "infrequent itemset reported: " << key;
+    }
+  }
+  EXPECT_EQ(reported.size(), frequent);
+  EXPECT_GT(frequent, 5u);  // some pairs are frequent, not just singletons
 }
 
 TEST_F(AnalyticsEquivalenceTest, NormalizeZscoreMatchesSerial) {
-  Compare("CALL IDAA.NORMALIZE('input=feats', 'output=feats_n', "
-          "'columns=x,y,z')",
-          {"feats_n"}, /*exact=*/false);
+  // Each normalized value is (v - AVG) / STDDEV over DB2's column; every
+  // other column passes through unchanged.
+  ResultSet summary = Call(
+      "CALL IDAA.NORMALIZE('input=feats', 'output=feats_n', "
+      "'columns=x,y,z')");
+  ResultSet stats = Db2(
+      "SELECT AVG(x), STDDEV(x), AVG(y), STDDEV(y), AVG(z), STDDEV(z), "
+      "COUNT(*) FROM feats");
+  EXPECT_EQ(Col(summary, 0, "ROWS").AsInteger(), stats.At(0, 6).AsInteger());
+  EXPECT_EQ(Col(summary, 0, "METHOD").AsVarchar(), "zscore");
+  std::map<int64_t, Row> input = Db2FeatsById();
+  ResultSet out = Accel("SELECT * FROM feats_n");
+  ASSERT_EQ(out.NumRows(), input.size());
+  for (const Row& row : out.rows()) {
+    const Row& in = input.at(row[0].AsInteger());
+    for (size_t j = 0; j < 3; ++j) {
+      const Value& v = in[1 + j];
+      if (v.is_null()) {
+        EXPECT_TRUE(row[1 + j].is_null());
+        continue;
+      }
+      ExpectNear(row[1 + j].AsDouble(),
+                 (v.AsDouble() - stats.At(0, 2 * j).AsDouble()) /
+                     stats.At(0, 2 * j + 1).AsDouble(),
+                 "zscore id " + row[0].ToString() + " col " +
+                     std::to_string(j));
+    }
+    EXPECT_EQ(row[4], in[4]);
+    EXPECT_EQ(row[5], in[5]);
+  }
 }
 
 TEST_F(AnalyticsEquivalenceTest, NormalizeMinMaxMatchesSerial) {
-  Compare("CALL IDAA.NORMALIZE('input=feats', 'output=feats_m', "
-          "'columns=x,y', 'method=minmax')",
-          {"feats_m"}, /*exact=*/false);
+  // Each normalized value is (v - MIN) / (MAX - MIN) over DB2's column.
+  Call("CALL IDAA.NORMALIZE('input=feats', 'output=feats_m', "
+       "'columns=x,y', 'method=minmax')");
+  ResultSet range = Db2("SELECT MIN(x), MAX(x), MIN(y), MAX(y) FROM feats");
+  std::map<int64_t, Row> input = Db2FeatsById();
+  ResultSet out = Accel("SELECT * FROM feats_m");
+  ASSERT_EQ(out.NumRows(), input.size());
+  for (const Row& row : out.rows()) {
+    const Row& in = input.at(row[0].AsInteger());
+    for (size_t j = 0; j < 2; ++j) {
+      if (in[1 + j].is_null()) {
+        EXPECT_TRUE(row[1 + j].is_null());
+        continue;
+      }
+      const double lo = range.At(0, 2 * j).AsDouble();
+      const double hi = range.At(0, 2 * j + 1).AsDouble();
+      ExpectNear(row[1 + j].AsDouble(), (in[1 + j].AsDouble() - lo) / (hi - lo),
+                 "minmax id " + row[0].ToString());
+    }
+    EXPECT_EQ(CanonicalValue(row[3]), CanonicalValue(in[3]));  // z untouched
+  }
 }
 
 TEST_F(AnalyticsEquivalenceTest, DiscretizeMatchesSerial) {
-  // Bin boundaries derive from a chunked min/max (comparisons commute):
-  // bit-exact.
-  Compare("CALL IDAA.DISCRETIZE('input=feats', 'output=feats_d', "
-          "'column=y', 'bins=8')",
-          {"feats_d"}, /*exact=*/true);
+  // Bins are equal-width over DB2's [MIN(y), MAX(y)]: every row's bin is
+  // exactly the one its y falls into.
+  ResultSet summary = Call(
+      "CALL IDAA.DISCRETIZE('input=feats', 'output=feats_d', "
+      "'column=y', 'bins=8')");
+  ResultSet range = Db2("SELECT MIN(y), MAX(y) FROM feats");
+  const double lo = range.At(0, 0).AsDouble();
+  const double hi = range.At(0, 1).AsDouble();
+  EXPECT_EQ(Col(summary, 0, "LOW").AsDouble(), lo);
+  EXPECT_EQ(Col(summary, 0, "HIGH").AsDouble(), hi);
+  const double width = (hi - lo) / 8.0;
+  std::map<int64_t, Row> input = Db2FeatsById();
+  ResultSet out = Accel("SELECT id, y, y_bin FROM feats_d");
+  ASSERT_EQ(out.NumRows(), input.size());
+  for (const Row& row : out.rows()) {
+    const Value& y = input.at(row[0].AsInteger())[2];
+    EXPECT_EQ(CanonicalValue(row[1]), CanonicalValue(y));
+    const int64_t bin = std::clamp<int64_t>(
+        static_cast<int64_t>((y.AsDouble() - lo) / width), 0, 7);
+    EXPECT_EQ(row[2].AsInteger(), bin) << "id " << row[0].ToString();
+  }
 }
 
 TEST_F(AnalyticsEquivalenceTest, ImputeMatchesSerial) {
-  Compare("CALL IDAA.IMPUTE('input=feats', 'output=feats_i', "
-          "'columns=x,cat')",
-          {"feats_i"}, /*exact=*/false);
+  // NULL x becomes DB2's AVG(x); NULL cat becomes its most frequent value
+  // (ties to the smallest); every other value passes through unchanged.
+  ResultSet summary = Call(
+      "CALL IDAA.IMPUTE('input=feats', 'output=feats_i', "
+      "'columns=x,cat')");
+  ResultSet oracle = Db2(
+      "SELECT AVG(x), SUM(CASE WHEN x IS NULL THEN 1 ELSE 0 END) + "
+      "SUM(CASE WHEN cat IS NULL THEN 1 ELSE 0 END) FROM feats");
+  EXPECT_EQ(Col(summary, 0, "IMPUTED_VALUES").AsInteger(),
+            oracle.At(0, 1).AsInteger());
+  EXPECT_GT(oracle.At(0, 1).AsInteger(), 0);
+  std::string mode;
+  int64_t best = 0;
+  ResultSet cat_counts = Db2(
+      "SELECT cat, COUNT(*) FROM feats WHERE cat IS NOT NULL GROUP BY cat "
+      "ORDER BY cat");
+  for (const Row& row : cat_counts.rows()) {
+    if (row[1].AsInteger() > best) {
+      best = row[1].AsInteger();
+      mode = row[0].AsVarchar();
+    }
+  }
+  std::map<int64_t, Row> input = Db2FeatsById();
+  ResultSet out = Accel("SELECT * FROM feats_i");
+  ASSERT_EQ(out.NumRows(), input.size());
+  for (const Row& row : out.rows()) {
+    const Row& in = input.at(row[0].AsInteger());
+    if (in[1].is_null()) {
+      ExpectNear(row[1].AsDouble(), oracle.At(0, 0).AsDouble(), "mean");
+    } else {
+      EXPECT_EQ(CanonicalValue(row[1]), CanonicalValue(in[1]));
+    }
+    EXPECT_EQ(row[4].AsVarchar(), in[4].is_null() ? mode : in[4].AsVarchar());
+  }
 }
 
 TEST_F(AnalyticsEquivalenceTest, OneHotMatchesSerial) {
-  Compare("CALL IDAA.ONEHOT('input=feats', 'output=feats_o', "
-          "'column=cat')",
-          {"feats_o"}, /*exact=*/true);
+  // One indicator column CAT_<v> per DB2 DISTINCT cat value; each is 1
+  // exactly on the rows whose cat is v.
+  ResultSet summary =
+      Call("CALL IDAA.ONEHOT('input=feats', 'output=feats_o', 'column=cat')");
+  std::set<std::string> values;
+  ResultSet distinct_cats =
+      Db2("SELECT DISTINCT cat FROM feats WHERE cat IS NOT NULL");
+  for (const Row& row : distinct_cats.rows()) {
+    values.insert(row[0].AsVarchar());
+  }
+  EXPECT_EQ(Col(summary, 0, "CATEGORIES").AsInteger(),
+            static_cast<int64_t>(values.size()));
+  std::map<int64_t, Row> input = Db2FeatsById();
+  ResultSet out = Accel("SELECT * FROM feats_o");
+  ASSERT_EQ(out.NumRows(), input.size());
+  ASSERT_EQ(out.schema().NumColumns(), 6u + values.size());
+  for (size_t r = 0; r < out.NumRows(); ++r) {
+    const Value& cat = input.at(out.At(r, 0).AsInteger())[4];
+    for (const std::string& v : values) {
+      EXPECT_EQ(Col(out, r, "CAT_" + v).AsInteger(),
+                !cat.is_null() && cat.AsVarchar() == v ? 1 : 0);
+    }
+  }
 }
 
 TEST_F(AnalyticsEquivalenceTest, SampleMatchesSerial) {
-  // The Bernoulli draw stream is kept sequential in both paths, so the
-  // sampled subset is identical row for row.
-  Compare("CALL IDAA.SAMPLE('input=feats', 'output=feats_s', "
-          "'fraction=0.25', 'seed=7')",
-          {"feats_s"}, /*exact=*/true);
+  // The sample is a subset of DB2's input rows (an anti-join finds no
+  // sampled row outside it), without duplicates, of about fraction * rows.
+  ResultSet summary = Call(
+      "CALL IDAA.SAMPLE('input=feats', 'output=feats_s', "
+      "'fraction=0.25', 'seed=7')");
+  std::multiset<std::string> input;
+  ResultSet feats = Db2("SELECT * FROM feats");
+  for (const Row& row : feats.rows()) {
+    input.insert(CanonicalRow(row));
+  }
+  EXPECT_EQ(Col(summary, 0, "INPUT_ROWS").AsInteger(),
+            static_cast<int64_t>(input.size()));
+  ResultSet out = Accel("SELECT * FROM feats_s");
+  EXPECT_EQ(Col(summary, 0, "SAMPLED_ROWS").AsInteger(),
+            static_cast<int64_t>(out.NumRows()));
+  size_t outside = 0;
+  for (const Row& row : out.rows()) {
+    auto it = input.find(CanonicalRow(row));
+    if (it == input.end()) {
+      ++outside;
+    } else {
+      input.erase(it);  // a duplicate sampled row would not match again
+    }
+  }
+  EXPECT_EQ(outside, 0u);
+  EXPECT_GT(out.NumRows(), kRows / 5);
+  EXPECT_LT(out.NumRows(), kRows * 3 / 10);
 }
 
 TEST_F(AnalyticsEquivalenceTest, SummarizeMatchesSerial) {
-  // Per-column audits run the same serial accumulation inside each column
-  // task: exact.
-  Compare("CALL IDAA.SUMMARIZE('input=feats', 'output=feats_sum')",
-          {"feats_sum"}, /*exact=*/true);
+  // Per column: N = COUNT(c), NULLS = rows - COUNT(c), DISTINCT =
+  // COUNT(DISTINCT c), MIN/MAX, and for numeric columns MEAN = AVG(c) and
+  // STDDEV = STDDEV(c), all from DB2. The output AOT equals the result.
+  ResultSet summary =
+      Call("CALL IDAA.SUMMARIZE('input=feats', 'output=feats_sum')");
+  ASSERT_EQ(summary.NumRows(), 6u);
+  for (size_t r = 0; r < summary.NumRows(); ++r) {
+    const std::string column = Col(summary, r, "COLUMN").AsVarchar();
+    const bool numeric = Col(summary, r, "TYPE").AsVarchar() != "VARCHAR";
+    ResultSet oracle = Db2(
+        "SELECT COUNT(" + column + "), SUM(CASE WHEN " + column +
+        " IS NULL THEN 1 ELSE 0 END), COUNT(DISTINCT " + column + "), MIN(" +
+        column + "), MAX(" + column + ")" +
+        (numeric ? ", AVG(" + column + "), STDDEV(" + column + ")" : "") +
+        " FROM feats");
+    ASSERT_EQ(oracle.NumRows(), 1u) << column;
+    EXPECT_EQ(Col(summary, r, "N").AsInteger(), oracle.At(0, 0).AsInteger())
+        << column;
+    EXPECT_EQ(Col(summary, r, "NULLS").AsInteger(),
+              oracle.At(0, 1).AsInteger())
+        << column;
+    EXPECT_EQ(Col(summary, r, "DISTINCT").AsInteger(),
+              oracle.At(0, 2).AsInteger())
+        << column;
+    EXPECT_EQ(Col(summary, r, "MIN").AsVarchar(), oracle.At(0, 3).ToString())
+        << column;
+    EXPECT_EQ(Col(summary, r, "MAX").AsVarchar(), oracle.At(0, 4).ToString())
+        << column;
+    if (numeric) {
+      ExpectNear(Col(summary, r, "MEAN").AsDouble(),
+                 oracle.At(0, 5).AsDouble(), column + " mean");
+      ExpectNear(Col(summary, r, "STDDEV").AsDouble(),
+                 oracle.At(0, 6).AsDouble(), column + " stddev");
+    } else {
+      EXPECT_TRUE(Col(summary, r, "MEAN").is_null()) << column;
+    }
+  }
+  EXPECT_EQ(SortedCanonical(Accel("SELECT * FROM feats_sum")),
+            SortedCanonical(summary));
 }
 
 TEST_F(AnalyticsEquivalenceTest, NonNumericErrorsSurviveBatchPath) {
-  // Error surface parity: a VARCHAR feature column must produce the serial
-  // path's error text with the batch path enabled.
-  for (bool batch : {true, false}) {
-    system_.accelerator().SetAnalyticsBatchPathEnabled(batch);
-    auto rs = system_.Query(
-        "CALL IDAA.KMEANS('input=feats', 'output=feats_k', "
-        "'columns=x,cat', 'k=2')");
-    EXPECT_FALSE(rs.ok());
-    EXPECT_NE(rs.status().message().find("not numeric"), std::string::npos)
-        << rs.status().ToString();
+  // A VARCHAR feature column is rejected before any fit work, with the
+  // same message from every numeric operator.
+  for (const std::string& call :
+       {std::string("CALL IDAA.KMEANS('input=feats', 'output=feats_k', "
+                    "'columns=x,cat', 'k=2')"),
+        std::string("CALL IDAA.NORMALIZE('input=feats', 'output=feats_n', "
+                    "'columns=x,cat')"),
+        std::string("CALL IDAA.NAIVEBAYES('input=feats', 'label=label', "
+                    "'columns=x,cat')")}) {
+    auto rs = system_.Query(call);
+    ASSERT_FALSE(rs.ok()) << call;
+    EXPECT_NE(rs.status().message().find("column CAT is not numeric"),
+              std::string::npos)
+        << call << ": " << rs.status().ToString();
   }
-  system_.accelerator().SetAnalyticsBatchPathEnabled(true);
 }
 
 // -- determinism across thread counts ---------------------------------------
 
 /// Full-pipeline canonical capture on a fresh system with `threads` worker
 /// threads: every summary row and every output AOT rendered at full double
-/// precision. The batch path's chunked partial merges are fixed-order, so
+/// precision. The kernels' chunked partial merges are fixed-order, so
 /// these strings must be bit-identical for any thread count.
 std::vector<std::string> RunPipelineCanonical(size_t threads) {
   IdaaSystem system(AnalyticsOptions(threads));

@@ -29,7 +29,7 @@ TEST(KMeansKernelTest, SeparatesObviousClusters) {
     points.push_back({rng.Gaussian(0, 0.1), rng.Gaussian(0, 0.1)});
     points.push_back({rng.Gaussian(10, 0.1), rng.Gaussian(10, 0.1)});
   }
-  KMeansResult result = RunKMeans(points, 2, 50, 7);
+  KMeansResult result = RunKMeans(points, 2, 50, 7, /*pool=*/nullptr);
   ASSERT_EQ(result.centroids.size(), 2u);
   // Points alternate cluster membership perfectly.
   for (size_t i = 2; i < points.size(); i += 2) {
@@ -46,20 +46,20 @@ TEST(KMeansKernelTest, Deterministic) {
   for (int i = 0; i < 100; ++i) {
     points.push_back({rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)});
   }
-  KMeansResult a = RunKMeans(points, 5, 20, 9);
-  KMeansResult b = RunKMeans(points, 5, 20, 9);
+  KMeansResult a = RunKMeans(points, 5, 20, 9, /*pool=*/nullptr);
+  KMeansResult b = RunKMeans(points, 5, 20, 9, /*pool=*/nullptr);
   EXPECT_EQ(a.assignments, b.assignments);
   EXPECT_EQ(a.inertia, b.inertia);
 }
 
 TEST(KMeansKernelTest, KLargerThanPointsClamped) {
   std::vector<std::vector<double>> points = {{0.0}, {1.0}};
-  KMeansResult result = RunKMeans(points, 10, 5, 1);
+  KMeansResult result = RunKMeans(points, 10, 5, 1, /*pool=*/nullptr);
   EXPECT_EQ(result.centroids.size(), 2u);
 }
 
 TEST(KMeansKernelTest, EmptyInput) {
-  KMeansResult result = RunKMeans({}, 3, 5, 1);
+  KMeansResult result = RunKMeans({}, 3, 5, 1, /*pool=*/nullptr);
   EXPECT_TRUE(result.centroids.empty());
 }
 
@@ -73,7 +73,7 @@ TEST(OlsKernelTest, RecoversExactCoefficients) {
     x.push_back({x1, x2});
     y.push_back(3 + 2 * x1 - 0.5 * x2);
   }
-  auto result = SolveOls(x, y);
+  auto result = SolveOls(x, y, /*pool=*/nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(result->coefficients[0], 3.0, 1e-9);
   EXPECT_NEAR(result->coefficients[1], 2.0, 1e-9);
@@ -90,11 +90,11 @@ TEST(OlsKernelTest, SingularSystemFails) {
     x.push_back({static_cast<double>(i), static_cast<double>(2 * i)});
     y.push_back(i);
   }
-  EXPECT_FALSE(SolveOls(x, y).ok());
+  EXPECT_FALSE(SolveOls(x, y, /*pool=*/nullptr).ok());
 }
 
 TEST(OlsKernelTest, FewerRowsThanParamsFails) {
-  EXPECT_FALSE(SolveOls({{1.0, 2.0}}, {1.0}).ok());
+  EXPECT_FALSE(SolveOls({{1.0, 2.0}}, {1.0}, /*pool=*/nullptr).ok());
 }
 
 TEST(NaiveBayesKernelTest, ClassifiesSeparatedClasses) {
@@ -110,7 +110,7 @@ TEST(NaiveBayesKernelTest, ClassifiesSeparatedClasses) {
       labels.push_back("high");
     }
   }
-  auto model = GaussianNbModel::Fit(x, labels);
+  auto model = GaussianNbModel::Fit(x, labels, /*pool=*/nullptr);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->Predict({0.5}), "low");
   EXPECT_EQ(model->Predict({19.5}), "high");

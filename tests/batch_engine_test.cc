@@ -171,18 +171,16 @@ TEST(BatchEngineTest, ExplainAnalyzeReportsFallbackForComplexPredicate) {
 }
 
 TEST(BatchEngineTest, ExplainAnalyzeReportsFallbackWhenDisabled) {
-  // The only remaining batch switch picks the analytics operators' serial
-  // reference fits; SELECT execution never reads it.
+  // No batch switch remains: a grouped aggregate always reports the batch
+  // path.
   IdaaSystem system(SmallBatchOptions());
   SeedOrders(system, 100);
-  system.accelerator().SetAnalyticsBatchPathEnabled(false);
   auto rs = system.Query(
       "EXPLAIN ANALYZE SELECT region, SUM(amount) FROM orders "
       "GROUP BY region");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   auto rows = StageRows(*rs);
   EXPECT_TRUE(HasAttr(rows, "accel.slice_aggregation", "batch_path=true"));
-  system.accelerator().SetAnalyticsBatchPathEnabled(true);
 }
 
 // ---------------------------------------------------------------------------

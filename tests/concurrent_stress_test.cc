@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "accel/sharded_accelerator.h"
+#include "analytics/batch_input.h"
+#include "analytics/operator.h"
 #include "common/string_util.h"
 #include "idaa/system.h"
 #include "loader/record_source.h"
@@ -401,26 +403,54 @@ TEST(ConcurrentStressTest, ParallelAnalyticsSessionsShareInputsWithWriters) {
 
   EXPECT_EQ(calls_succeeded.load(), size_t{kAnalysts * kCallsPerAnalyst * 4});
 
-  // Quiesced differential check: with writers stopped and replication
-  // drained, the batch and serial paths agree on the final state.
+  // Quiesced check: with writers stopped and replication drained, the
+  // KMEANS summary is bit-identical to the same CALL on a fresh 1-thread,
+  // 1-slice system holding the quiesced rows in the order the operator
+  // reads them (the chunk merges do not depend on the thread count).
   ASSERT_TRUE(system.replication().Flush().ok());
-  auto batch = system.Query(
+  const std::string final_call =
       "CALL IDAA.KMEANS('input=feats', 'output=final_k', 'columns=x,y', "
-      "'k=3', 'seed=9')");
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  system.accelerator().SetAnalyticsBatchPathEnabled(false);
-  auto serial = system.Query(
-      "CALL IDAA.KMEANS('input=feats', 'output=final_k', 'columns=x,y', "
-      "'k=3', 'seed=9')");
-  system.accelerator().SetAnalyticsBatchPathEnabled(true);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_EQ(batch->NumRows(), 1u);
-  ASSERT_EQ(serial->NumRows(), 1u);
-  for (size_t c : {0u, 1u, 3u, 4u}) {  // K, ITERATIONS, ROWS, SKIPPED
-    EXPECT_EQ(batch->At(0, c).AsInteger(), serial->At(0, c).AsInteger());
+      "'k=3', 'seed=9')";
+  auto stressed = system.Query(final_call);
+  ASSERT_TRUE(stressed.ok()) << stressed.status().ToString();
+  std::vector<Row> quiesced;
+  {
+    ASSERT_TRUE(system.Begin().ok());
+    analytics::AnalyticsContext ctx(&system.catalog(), &system.accelerator(),
+                                    &system.txn_manager(),
+                                    system.current_transaction(),
+                                    &system.metrics());
+    auto in = ctx.OpenInput("feats");
+    ASSERT_TRUE(in.ok()) << in.status().ToString();
+    quiesced = (*in)->GatherRows({});
+    in->reset();
+    ASSERT_TRUE(system.Commit().ok());
   }
-  EXPECT_NEAR(batch->At(0, 2).AsDouble(), serial->At(0, 2).AsDouble(),
-              1e-6 * std::max(1.0, serial->At(0, 2).AsDouble()));
+  SystemOptions fresh_options;
+  fresh_options.accelerator.num_threads = 1;
+  fresh_options.accelerator.num_slices = 1;
+  IdaaSystem fresh(fresh_options);
+  ASSERT_TRUE(fresh
+                  .Execute("CREATE TABLE feats (id INT NOT NULL, x DOUBLE, "
+                           "y DOUBLE, lbl VARCHAR) IN ACCELERATOR")
+                  .ok());
+  Schema feats_schema({{"ID", DataType::kInteger, false},
+                       {"X", DataType::kDouble, true},
+                       {"Y", DataType::kDouble, true},
+                       {"LBL", DataType::kVarchar, true}});
+  loader::GeneratorSource source(feats_schema, quiesced.size(),
+                                 [&quiesced](size_t i) { return quiesced[i]; });
+  auto loaded = fresh.loader().Load("feats", &source);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto reference = fresh.Query(final_call);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(stressed->NumRows(), 1u);
+  ASSERT_EQ(reference->NumRows(), 1u);
+  for (size_t c = 0; c < 5; ++c) {  // K, ITERATIONS, INERTIA, ROWS, SKIPPED
+    EXPECT_EQ(stressed->At(0, c), reference->At(0, c))
+        << "column " << c << ": " << stressed->At(0, c).ToString() << " vs "
+        << reference->At(0, c).ToString();
+  }
 
   // Every analyst's outputs are present and consistent with one snapshot.
   for (int a = 0; a < kAnalysts; ++a) {

@@ -22,12 +22,15 @@
 namespace idaa {
 namespace {
 
-std::vector<std::string> CanonicalRows(const ResultSet& rs) {
+/// Sorted row renderings; doubles at `digits` significant digits (17 is
+/// exact: every double renders distinctly).
+std::vector<std::string> CanonicalRows(const ResultSet& rs, int digits = 9) {
   std::vector<std::string> lines;
   for (const Row& row : rs.rows()) {
     std::string line;
     for (const Value& v : row) {
-      line += v.is_double() ? StrFormat("%.9g", v.AsDouble()) : v.ToString();
+      line += v.is_double() ? StrFormat("%.*g", digits, v.AsDouble())
+                            : v.ToString();
       line += "|";
     }
     lines.push_back(std::move(line));
@@ -298,7 +301,8 @@ TEST_P(ConvergenceFuzz, GroomNeverChangesVisibleResults) {
 // errors and (b) a concurrent writer keeps replication busy on another
 // table. Invariants: no CALL ever fails terminally (transient faults are
 // absorbed by retrying the idempotent operator), and the final summaries
-// and every produced table match a clean serial-row-path reference system.
+// and every produced table are bit-identical to a clean reference system
+// (same fits, no faults, no load).
 TEST_P(ConvergenceFuzz, AnalyticsPipelineMatchesSerialUnderFaults) {
   Rng rng(GetParam() + 7000);
 
@@ -397,20 +401,19 @@ TEST_P(ConvergenceFuzz, AnalyticsPipelineMatchesSerialUnderFaults) {
     }
   };
 
-  // Clean reference: serial row path end to end, no faults, no load.
+  // Clean reference: the same fits, no faults, no load.
   IdaaSystem reference;
   setup(reference);
-  reference.accelerator().SetAnalyticsBatchPathEnabled(false);
   std::vector<std::string> ref_summaries;
   for (const std::string& call : calls) {
     auto rs = reference.Query(call);
     ASSERT_TRUE(rs.ok()) << call << ": " << rs.status().ToString();
-    for (const std::string& line : CanonicalRows(*rs)) {
+    for (const std::string& line : CanonicalRows(*rs, 17)) {
       ref_summaries.push_back(line);
     }
   }
 
-  // System under test: batch path (default), 10% faults, busy replication.
+  // System under test: 10% faults, busy replication.
   SystemOptions options;
   options.replication_batch_size = 16;
   IdaaSystem faulty(options);
@@ -452,7 +455,7 @@ TEST_P(ConvergenceFuzz, AnalyticsPipelineMatchesSerialUnderFaults) {
     for (int attempt = 0; attempt < 200 && !done; ++attempt) {
       auto rs = faulty.Query(call);
       if (rs.ok()) {
-        for (const std::string& line : CanonicalRows(*rs)) {
+        for (const std::string& line : CanonicalRows(*rs, 17)) {
           got_summaries.push_back(line);
         }
         done = true;
@@ -476,7 +479,7 @@ TEST_P(ConvergenceFuzz, AnalyticsPipelineMatchesSerialUnderFaults) {
     auto want = reference.Query("SELECT * FROM " + table);
     ASSERT_TRUE(got.ok()) << table << ": " << got.status().ToString();
     ASSERT_TRUE(want.ok()) << table << ": " << want.status().ToString();
-    EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*want))
+    EXPECT_EQ(CanonicalRows(*got, 17), CanonicalRows(*want, 17))
         << "seed " << GetParam() << " table " << table;
   }
 }

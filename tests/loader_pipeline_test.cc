@@ -85,11 +85,11 @@ class LoadPipelineTest : public ::testing::Test {
 
 TEST_F(LoadPipelineTest, BitIdenticalAcrossWorkerCounts) {
   const std::string csv = EventCsv(3000);
-  // Worker count 0 is the legacy serial row-at-a-time path; 1/2/8 exercise
-  // the pipeline. All four must produce byte-identical physical layout:
-  // same slice assignment (round-robin order), same column content, same
-  // zone-map runs — only then is parallel loading a pure speedup.
-  const size_t worker_counts[] = {0, 1, 2, 8};
+  // The single-worker pipeline is the reference; 2 and 8 workers must
+  // produce byte-identical physical layout: same slice assignment
+  // (round-robin order), same column content, same zone-map runs — only
+  // then is parallel loading a pure speedup.
+  const size_t worker_counts[] = {1, 2, 8};
   std::vector<std::string> fingerprints;
   for (size_t workers : worker_counts) {
     SystemOptions options;
@@ -111,7 +111,7 @@ TEST_F(LoadPipelineTest, BitIdenticalAcrossWorkerCounts) {
   for (size_t i = 1; i < fingerprints.size(); ++i) {
     EXPECT_EQ(fingerprints[0], fingerprints[i])
         << "worker count " << worker_counts[i]
-        << " produced different physical state than serial load";
+        << " produced different physical state than the 1-worker load";
   }
 }
 
@@ -358,7 +358,11 @@ TEST_F(LoadPipelineTest, ResumeRequiresRestartableMode) {
   lo.commit_per_batch = false;
   EXPECT_FALSE(system_->loader().Load("rr", &source, lo).ok());
   lo.commit_per_batch = true;
-  lo.num_workers = 0;
+  lo.num_workers = 0;  // no pipeline, no load: rejected with or without resume
+  auto no_workers = system_->loader().Load("rr", &source, lo);
+  ASSERT_FALSE(no_workers.ok());
+  EXPECT_EQ(no_workers.status().code(), StatusCode::kInvalidArgument);
+  lo.resume_token = 0;
   EXPECT_FALSE(system_->loader().Load("rr", &source, lo).ok());
 }
 

@@ -182,18 +182,6 @@ TEST(PlanCacheTest, RepeatedStatementShapeHitsTheCache) {
   EXPECT_EQ(bypass->plan_cache, "bypass");
 }
 
-TEST(PlanCacheTest, ExecuteSqlShimSharesTheCacheWithExecute) {
-  IdaaSystem system;
-  ASSERT_TRUE(system.ExecuteSql("CREATE TABLE t (a INT)").ok());
-  ASSERT_TRUE(system.ExecuteSql("INSERT INTO t VALUES (1), (2), (3)").ok());
-  ASSERT_TRUE(system.ExecuteSql("SELECT a FROM t WHERE a = 1").ok());
-  auto hit = system.Execute("SELECT a FROM t WHERE a = 3");
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit->plan_cache, "hit");
-  ASSERT_EQ(hit->rows.NumRows(), 1u);
-  EXPECT_EQ(hit->rows.At(0, 0).AsInteger(), 3);
-}
-
 TEST(PlanCacheTest, AdHocStatementWithMarkerIsRejected) {
   IdaaSystem system;
   ASSERT_TRUE(system.Execute("CREATE TABLE t (a INT)").ok());
