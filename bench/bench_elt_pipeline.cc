@@ -4,7 +4,9 @@
 //
 // Sweep: number of pipeline stages k, base table size. For each variant we
 // report wall time, bytes crossing the DB2<->accelerator boundary, and rows
-// materialized in DB2.
+// materialized in DB2. At 50k rows the entry also carries the throughput of
+// one AOT INSERT ... SELECT stage over the whole base table (the columnar
+// scan-to-append path). Writes BENCH_elt_pipeline.json.
 
 #include <benchmark/benchmark.h>
 
@@ -61,7 +63,38 @@ PipelineStats RunPipeline(size_t rows, int stages, bool use_aot) {
   return stats;
 }
 
+/// Rows per second appended by one accelerator-side AOT INSERT ... SELECT
+/// that filters and projects the whole `rows`-row base table (best of
+/// three).
+double AotStageRowsPerSec(size_t rows) {
+  IdaaSystem system;
+  SeedOrders(system, rows, /*accelerate=*/true);
+  double best_ms = 0;
+  size_t appended = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    (void)system.Execute("DROP TABLE wide");
+    Must(system,
+         "CREATE TABLE wide (id INT, cust INT, revenue DOUBLE, "
+         "region VARCHAR) IN ACCELERATOR");
+    WallTimer timer;
+    auto r = system.Execute(
+        "INSERT INTO wide SELECT id, cust, amount * qty, region FROM orders "
+        "WHERE qty > 2");
+    const double ms = timer.Millis();
+    if (!r.ok()) {
+      std::cerr << "bench stage failed: " << r.status() << "\n";
+      std::exit(1);
+    }
+    appended = r->rows_affected;
+    if (rep == 0 || ms < best_ms) best_ms = ms;
+  }
+  return best_ms > 0 ? static_cast<double>(appended) / (best_ms / 1000.0)
+                     : 0.0;
+}
+
 void PrintTable() {
+  BenchJson json("elt_pipeline");
+  const double stage_rate = AotStageRowsPerSec(50000);
   PrintHeader("E1: multi-stage ELT pipeline (legacy vs AOT)",
               "Claim: AOTs eliminate per-stage DB2 materialization and "
               "re-replication;\ndata movement should stay flat with stage "
@@ -81,8 +114,26 @@ void PrintTable() {
           (unsigned long long)aot.boundary_bytes,
           (unsigned long long)aot.db2_rows,
           legacy.boundary_bytes / std::max<double>(1.0, aot.boundary_bytes));
+      BenchJson::Extra extra = {
+          {"stages", stages},
+          {"legacy_ms", legacy.millis},
+          {"aot_ms", aot.millis},
+          {"legacy_boundary_bytes", static_cast<double>(legacy.boundary_bytes)},
+          {"aot_boundary_bytes", static_cast<double>(aot.boundary_bytes)},
+          {"legacy_db2_rows", static_cast<double>(legacy.db2_rows)},
+          {"aot_db2_rows", static_cast<double>(aot.db2_rows)}};
+      if (rows == 50000) {
+        extra.push_back({"aot_stage_rows_per_s", stage_rate});
+      }
+      // db2_ms / accel_ms carry the legacy and AOT pipeline times, so
+      // speedup_vs_db2 reads as the AOT pipeline's speedup.
+      json.Add(StrFormat("E1 %d-stage ELT", stages), rows, legacy.millis,
+               aot.millis, std::move(extra));
     }
   }
+  std::printf("AOT INSERT ... SELECT stage at 50000 rows: %.0f rows/s\n",
+              stage_rate);
+  json.Write();
 }
 
 void BM_PipelineLegacy(benchmark::State& state) {

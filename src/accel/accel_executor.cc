@@ -294,19 +294,33 @@ Result<AggPartial> SliceAggregation(const sql::BoundSelect& plan,
 
 }  // namespace
 
-Result<std::vector<Row>> ParallelScan(
-    const ColumnTable& table, const sql::BoundExpr* predicate, TxnId reader,
-    Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
-    MetricsRegistry* metrics, const std::vector<uint8_t>* projection,
-    TraceContext tc, const BatchOptions& batch,
-    std::optional<size_t> limit_cap) {
-  TraceSpan span(tc, "accel.batch_scan");
-  auto pin = table.PinForScan();
-  const BatchScanPlan bp = PrepareBatchScan(table, predicate);
-  const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
-  const size_t width = table.schema().NumColumns();
-  const size_t num_workers = MorselWorkerCount(pool, morsels.size());
+namespace {
 
+/// Per-morsel outcome of a MorselScan.
+struct MorselOutcome {
+  Status status;
+  size_t kept = 0;  ///< rows surviving the residual step
+};
+
+/// The morsel loop shared by the row scan and the columnar INSERT ... SELECT
+/// scan. For each morsel, `consume(mi, batch)` runs under the table's data
+/// lock once per surviving batch; `finish(mi, &kept, &rejected)` then runs
+/// after ScanMorsel has released the lock — arbitrary expression work
+/// (residual predicates, projections) must not stall writers — and
+/// reports the rows it kept and rejected. A failing finish stops the pull
+/// of further morsels; every morsel before it was pulled earlier and
+/// completes, so the first failing morsel in morsel order is always
+/// processed. Honors `limit_cap`: stops once the first `limit_cap` kept
+/// rows are known. Returns the per-morsel outcomes, with the scan's
+/// accounting recorded on `span` and in `metrics`.
+template <typename Consume, typename Finish>
+std::vector<MorselOutcome> MorselScan(
+    const ColumnTable& table, const BatchScanPlan& bp,
+    const std::vector<Morsel>& morsels, TxnId reader, Csn snapshot,
+    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
+    TraceSpan& span, std::optional<size_t> limit_cap, const Consume& consume,
+    const Finish& finish) {
+  const size_t num_workers = MorselWorkerCount(pool, morsels.size());
   struct Worker {
     TransactionManager::VisibilityChecker visibility;
     std::vector<uint32_t> sel;
@@ -323,8 +337,7 @@ Result<std::vector<Row>> ParallelScan(
                0});
   }
 
-  std::vector<std::vector<Row>> morsel_rows(morsels.size());
-  std::vector<Status> morsel_status(morsels.size());
+  std::vector<MorselOutcome> outcomes(morsels.size());
   std::mutex progress_mu;
   std::vector<int64_t> done(morsels.size(), -1);
   size_t prefix = 0;
@@ -337,55 +350,19 @@ Result<std::vector<Row>> ParallelScan(
     const Morsel& m = morsels[mi];
     const BatchScanStats before = wk.stats;
     TraceSpan morsel_span(span.context(), "accel.slice_scan");
-    std::vector<Row>& rows = morsel_rows[mi];
-    table.ScanMorsel(
-        m, bp.ranges, &bp.per_slice[m.slice], wk.visibility, &wk.sel,
-        &wk.stats, [&](const ColumnBatch& b) {
-          // Cursors keep late materialization amortized-O(1) per element
-          // over encoded zones (sel is ascending).
-          std::vector<ColumnCursor> cursors;
-          cursors.reserve(width);
-          for (size_t c = 0; c < width; ++c) {
-            cursors.emplace_back(*(*b.columns)[c]);
-          }
-          rows.reserve(b.sel_count);
-          for (size_t k = 0; k < b.sel_count; ++k) {
-            const size_t i = b.AbsoluteRow(k);
-            Row row(width);
-            for (size_t c = 0; c < width; ++c) {
-              if (projection == nullptr || (*projection)[c]) {
-                row[c] = cursors[c].Get(i);
-              }
-            }
-            rows.push_back(std::move(row));
-          }
-        });
+    table.ScanMorsel(m, bp.ranges, &bp.per_slice[m.slice], wk.visibility,
+                     &wk.sel, &wk.stats,
+                     [&](const ColumnBatch& b) { consume(mi, b); });
     RecordMorselSpan(morsel_span, m, before, wk.stats);
-    // Residual step: the full predicate on the materialized rows, after
-    // ScanMorsel has released the data lock — arbitrary expression work
-    // must not stall writers.
-    if (bp.residual != nullptr) {
-      size_t kept = 0;
-      for (size_t r = 0; r < rows.size(); ++r) {
-        Result<bool> pass = sql::EvalPredicate(*bp.residual, rows[r]);
-        if (!pass.ok()) {
-          morsel_status[mi] = pass.status();
-          break;
-        }
-        if (!*pass) continue;
-        if (kept != r) rows[kept] = std::move(rows[r]);
-        ++kept;
-      }
-      wk.residual_rejected += rows.size() - kept;
-      rows.resize(kept);
-    }
-    if (!morsel_status[mi].ok()) {
-      // Every morsel before this one was pulled earlier and completes, so
-      // the first failing morsel in morsel order is always processed.
+    MorselOutcome& out = outcomes[mi];
+    uint64_t rejected = 0;
+    out.status = finish(mi, &out.kept, &rejected);
+    wk.residual_rejected += rejected;
+    if (!out.status.ok()) {
       stop.store(true, std::memory_order_relaxed);
     } else if (limit_cap.has_value()) {
       std::lock_guard<std::mutex> lock(progress_mu);
-      done[mi] = static_cast<int64_t>(rows.size());
+      done[mi] = static_cast<int64_t>(out.kept);
       while (prefix < done.size() && done[prefix] >= 0) {
         prefix_rows += static_cast<size_t>(done[prefix]);
         ++prefix;
@@ -414,6 +391,180 @@ Result<std::vector<Row>> ParallelScan(
     span.Attr("residual", "true");
     span.Attr("residual_rejected_rows", residual_rejected);
   }
+  return outcomes;
+}
+
+/// Evaluate `filters` (nulls skipped) in order on each row; keep[r] says
+/// whether row r passed all of them. A row rejected by one filter is not
+/// shown to the next, as in the scan-then-filter row pipeline.
+Status ApplyFilters(const std::vector<const sql::BoundExpr*>& filters,
+                    const std::vector<Row>& rows, std::vector<uint8_t>* keep,
+                    uint64_t* rejected) {
+  keep->assign(rows.size(), 1);
+  for (const sql::BoundExpr* filter : filters) {
+    if (filter == nullptr) continue;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if ((*keep)[r] == 0) continue;
+      IDAA_ASSIGN_OR_RETURN(bool pass, sql::EvalPredicate(*filter, rows[r]));
+      if (!pass) {
+        (*keep)[r] = 0;
+        ++*rejected;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// The columnar INSERT ... SELECT leg of the morsel scan: a single-table
+/// plan without aggregation, DISTINCT, ORDER BY or LIMIT writes each
+/// morsel's survivors into one ColumnarRows in the target's layout. Bare
+/// columns are copied by a typed gather under the data lock, together with
+/// scratch rows holding only the inputs of the residual, the WHERE and the
+/// expression items; after the lock is released the filters run on the
+/// scratch rows, the gathered columns are compacted to the survivors and
+/// the expression items are evaluated. Returns the batches in morsel
+/// order, or the first failing morsel's error.
+Result<std::vector<ColumnarRows>> ParallelScanInto(
+    const ColumnTable& table, const sql::BoundSelect& plan,
+    const InsertLayout& layout, TxnId reader, Csn snapshot,
+    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
+    TraceContext tc, const BatchOptions& batch) {
+  TraceSpan span(tc, "accel.batch_scan");
+  span.Attr("into", "columnar");
+  auto pin = table.PinForScan();
+  const BatchScanPlan bp =
+      PrepareBatchScan(table, plan.tables[0].scan_predicate.get());
+  const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
+  const size_t width = table.schema().NumColumns();
+  const std::vector<const sql::BoundExpr*> filters = {bp.residual,
+                                                      plan.where.get()};
+  const std::vector<uint8_t> scratch_cols =
+      ScratchColumns(layout, width, filters);
+  const bool need_scratch =
+      layout.has_exprs || bp.residual != nullptr || plan.where != nullptr;
+
+  struct MorselOut {
+    Status status;  ///< a failed cast in the gather
+    ColumnarRows rows;
+    std::vector<Row> scratch;
+    size_t count = 0;
+  };
+  std::vector<MorselOut> outs(morsels.size());
+  for (MorselOut& out : outs) out.rows.columns.resize(layout.targets.size());
+  auto consume = [&](size_t mi, const ColumnBatch& b) {
+    MorselOut& out = outs[mi];
+    if (!out.status.ok()) return;
+    auto row_at = [&b](size_t k) { return b.AbsoluteRow(k); };
+    for (size_t c = 0; c < layout.targets.size(); ++c) {
+      const InsertLayout::Target& t = layout.targets[c];
+      if (t.source != InsertLayout::Target::Source::kColumn) continue;
+      ColumnCursor cur(*(*b.columns)[t.column]);
+      out.status = GatherCells(cur, b.sel_count, row_at, t.type,
+                               &out.rows.columns[c]);
+      if (!out.status.ok()) return;
+    }
+    if (need_scratch) {
+      std::vector<ColumnCursor> cursors;
+      cursors.reserve(width);
+      for (size_t c = 0; c < width; ++c) cursors.emplace_back(*(*b.columns)[c]);
+      out.scratch.reserve(out.scratch.size() + b.sel_count);
+      for (size_t k = 0; k < b.sel_count; ++k) {
+        const size_t i = b.AbsoluteRow(k);
+        Row row(width);
+        for (size_t c = 0; c < width; ++c) {
+          if (scratch_cols[c]) row[c] = cursors[c].Get(i);
+        }
+        out.scratch.push_back(std::move(row));
+      }
+    }
+    out.count += b.sel_count;
+  };
+  auto finish = [&](size_t mi, size_t* kept, uint64_t* rejected) -> Status {
+    MorselOut& out = outs[mi];
+    IDAA_RETURN_IF_ERROR(out.status);
+    size_t n = out.count;
+    if (bp.residual != nullptr || plan.where != nullptr) {
+      std::vector<uint8_t> keep;
+      IDAA_RETURN_IF_ERROR(ApplyFilters(filters, out.scratch, &keep, rejected));
+      if (*rejected > 0) {
+        KeepRows(keep, &out.rows);
+        KeepIf(keep, &out.scratch);
+        n = out.scratch.size();
+      }
+    }
+    if (layout.has_exprs) {
+      for (const Row& row : out.scratch) {
+        IDAA_RETURN_IF_ERROR(AppendExprCells(layout, row, &out.rows));
+      }
+    }
+    std::vector<Row>().swap(out.scratch);
+    FinishColumnar(layout, n, &out.rows);
+    *kept = n;
+    return Status::OK();
+  };
+  std::vector<MorselOutcome> outcomes =
+      MorselScan(table, bp, morsels, reader, snapshot, tm, pool, metrics,
+                 span, std::nullopt, consume, finish);
+  std::vector<ColumnarRows> batches;
+  batches.reserve(morsels.size());
+  size_t rows = 0;
+  for (size_t mi = 0; mi < morsels.size(); ++mi) {
+    IDAA_RETURN_IF_ERROR(outcomes[mi].status);
+    rows += outs[mi].rows.num_rows;
+    batches.push_back(std::move(outs[mi].rows));
+  }
+  span.Attr("rows", static_cast<uint64_t>(rows));
+  return batches;
+}
+
+}  // namespace
+
+Result<std::vector<Row>> ParallelScan(
+    const ColumnTable& table, const sql::BoundExpr* predicate, TxnId reader,
+    Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
+    MetricsRegistry* metrics, const std::vector<uint8_t>* projection,
+    TraceContext tc, const BatchOptions& batch,
+    std::optional<size_t> limit_cap) {
+  TraceSpan span(tc, "accel.batch_scan");
+  auto pin = table.PinForScan();
+  const BatchScanPlan bp = PrepareBatchScan(table, predicate);
+  const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
+  const size_t width = table.schema().NumColumns();
+
+  std::vector<std::vector<Row>> morsel_rows(morsels.size());
+  auto consume = [&](size_t mi, const ColumnBatch& b) {
+    // Cursors keep late materialization amortized-O(1) per element over
+    // encoded zones (sel is ascending).
+    std::vector<ColumnCursor> cursors;
+    cursors.reserve(width);
+    for (size_t c = 0; c < width; ++c) cursors.emplace_back(*(*b.columns)[c]);
+    std::vector<Row>& rows = morsel_rows[mi];
+    rows.reserve(rows.size() + b.sel_count);
+    for (size_t k = 0; k < b.sel_count; ++k) {
+      const size_t i = b.AbsoluteRow(k);
+      Row row(width);
+      for (size_t c = 0; c < width; ++c) {
+        if (projection == nullptr || (*projection)[c]) {
+          row[c] = cursors[c].Get(i);
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+  };
+  // Residual step: the full predicate on the materialized rows.
+  auto finish = [&](size_t mi, size_t* kept, uint64_t* rejected) -> Status {
+    std::vector<Row>& rows = morsel_rows[mi];
+    if (bp.residual != nullptr) {
+      std::vector<uint8_t> keep;
+      IDAA_RETURN_IF_ERROR(ApplyFilters({bp.residual}, rows, &keep, rejected));
+      KeepIf(keep, &rows);
+    }
+    *kept = rows.size();
+    return Status::OK();
+  };
+  std::vector<MorselOutcome> outcomes =
+      MorselScan(table, bp, morsels, reader, snapshot, tm, pool, metrics,
+                 span, limit_cap, consume, finish);
 
   // Concatenate in morsel (= slice) order up to the cap. The rows and
   // errors walked here all lie in the processed prefix, so both the
@@ -421,7 +572,7 @@ Result<std::vector<Row>> ParallelScan(
   std::vector<Row> out;
   for (size_t mi = 0; mi < morsels.size(); ++mi) {
     if (limit_cap.has_value() && out.size() >= *limit_cap) break;
-    IDAA_RETURN_IF_ERROR(morsel_status[mi]);
+    IDAA_RETURN_IF_ERROR(outcomes[mi].status);
     for (Row& row : morsel_rows[mi]) {
       if (limit_cap.has_value() && out.size() >= *limit_cap) break;
       out.push_back(std::move(row));
@@ -476,6 +627,30 @@ Result<ResultSet> ExecuteAccelSelect(const sql::BoundSelect& plan,
   options.metrics = nullptr;  // morsel scans account their own rows
   options.apply_scan_predicates = false;
   return exec::ExecuteBoundSelect(plan, source, options);
+}
+
+bool ColumnarInsertEligible(const sql::BoundSelect& plan) {
+  return !plan.tables.empty() && !plan.has_aggregation && !plan.distinct &&
+         plan.order_by.empty() && !plan.limit.has_value() && !plan.having;
+}
+
+Result<std::optional<std::vector<ColumnarRows>>> ExecuteAccelSelectInto(
+    const sql::BoundSelect& plan, const InsertLayout& layout,
+    const AccelTableResolver& resolver, TxnId reader, Csn snapshot,
+    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
+    TraceContext tc, const BatchOptions& batch) {
+  using Batches = std::vector<ColumnarRows>;
+  if (!ColumnarInsertEligible(plan)) return std::optional<Batches>();
+  if (plan.tables.size() == 1) {
+    IDAA_ASSIGN_OR_RETURN(const ColumnTable* table, resolver(plan.tables[0]));
+    IDAA_ASSIGN_OR_RETURN(Batches batches,
+                          ParallelScanInto(*table, plan, layout, reader,
+                                           snapshot, tm, pool, metrics, tc,
+                                           batch));
+    return std::optional<Batches>(std::move(batches));
+  }
+  return TryBatchJoinInto(plan, layout, resolver, reader, snapshot, tm, pool,
+                          metrics, tc, batch);
 }
 
 Result<std::optional<AggPartial>> ExecuteAccelSelectPartial(

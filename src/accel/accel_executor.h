@@ -4,6 +4,7 @@
 #pragma once
 
 #include "accel/column_table.h"
+#include "accel/columnar_insert.h"
 #include "accel/partial_agg.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -62,6 +63,25 @@ Result<ResultSet> ExecuteAccelSelect(const sql::BoundSelect& plan,
                                      MetricsRegistry* metrics,
                                      TraceContext tc = {},
                                      const BatchOptions& batch = {});
+
+/// True when an INSERT ... SELECT of `plan` can write the scan or join
+/// output straight into the target's columns: no aggregation, DISTINCT,
+/// ORDER BY, HAVING or LIMIT, i.e. every surviving FROM row is one output
+/// row, in scan order.
+bool ColumnarInsertEligible(const sql::BoundSelect& plan);
+
+/// The columnar leg of an AOT INSERT ... SELECT: run `plan` with its output
+/// written by the morsel scan (one table) or the batch join's materialize
+/// mode straight into `layout`'s target columns — one ColumnarRows per
+/// morsel, in morsel order, so appending them in order stores exactly what
+/// appending the SELECT's rows would. nullopt when the plan is not
+/// ColumnarInsertEligible or the batch join declines it; the caller then
+/// runs ExecuteAccelSelect and RowsToColumnar.
+Result<std::optional<std::vector<ColumnarRows>>> ExecuteAccelSelectInto(
+    const sql::BoundSelect& plan, const InsertLayout& layout,
+    const AccelTableResolver& resolver, TxnId reader, Csn snapshot,
+    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
+    TraceContext tc = {}, const BatchOptions& batch = {});
 
 /// Shard-scatter entry: run the local share of an aggregation plan and
 /// return ONE unfinalized partial for this accelerator instance — its

@@ -115,15 +115,57 @@ Status Accelerator::LoadColumnar(const std::string& name,
   return table->InsertColumnar(rows, txn);
 }
 
+AccelTableResolver Accelerator::resolver() const {
+  return [this](const sql::BoundTable& bt) -> Result<const ColumnTable*> {
+    return GetTable(bt.info->name);
+  };
+}
+
+Result<InsertSelectResult> Accelerator::InsertSelect(
+    const std::string& target, const sql::BoundSelect& plan,
+    const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
+    TraceContext tc) {
+  IDAA_RETURN_IF_ERROR(CheckReady("INSERT"));
+  IDAA_ASSIGN_OR_RETURN(ColumnTable * table, GetTable(target));
+  const InsertLayout layout =
+      MakeInsertLayout(plan, column_mapping, table->schema());
+  IDAA_ASSIGN_OR_RETURN(
+      std::optional<std::vector<ColumnarRows>> columnar,
+      ExecuteAccelSelectInto(plan, layout, resolver(), txn, snapshot, *tm_,
+                             &pool_, metrics_, tc, batch_options()));
+  InsertSelectResult out;
+  out.columnar = columnar.has_value();
+  std::vector<ColumnarRows> batches;
+  if (columnar.has_value()) {
+    batches = std::move(*columnar);
+  } else {
+    IDAA_ASSIGN_OR_RETURN(
+        ResultSet rows,
+        ExecuteAccelSelect(plan, resolver(), txn, snapshot, *tm_, &pool_,
+                           metrics_, tc, batch_options()));
+    IDAA_ASSIGN_OR_RETURN(
+        ColumnarRows staged,
+        RowsToColumnar(rows.rows(), column_mapping, table->schema()));
+    batches.push_back(std::move(staged));
+  }
+  IDAA_RETURN_IF_ERROR(table->InsertColumnar(batches, txn));
+  for (const ColumnarRows& b : batches) out.rows += b.num_rows;
+  return out;
+}
+
+Result<std::optional<std::vector<ColumnarRows>>> Accelerator::SelectInto(
+    const sql::BoundSelect& plan, const InsertLayout& layout, TxnId reader,
+    Csn snapshot, TraceContext tc) {
+  IDAA_RETURN_IF_ERROR(CheckReady("SELECT"));
+  return ExecuteAccelSelectInto(plan, layout, resolver(), reader, snapshot,
+                                *tm_, &pool_, metrics_, tc, batch_options());
+}
+
 Result<ResultSet> Accelerator::ExecuteSelect(const sql::BoundSelect& plan,
                                              TxnId reader, Csn snapshot,
                                              TraceContext tc) {
   IDAA_RETURN_IF_ERROR(CheckReady("SELECT"));
-  AccelTableResolver resolver =
-      [this](const sql::BoundTable& bt) -> Result<const ColumnTable*> {
-    return static_cast<const Accelerator*>(this)->GetTable(bt.info->name);
-  };
-  return ExecuteAccelSelect(plan, resolver, reader, snapshot, *tm_, &pool_,
+  return ExecuteAccelSelect(plan, resolver(), reader, snapshot, *tm_, &pool_,
                             metrics_, tc, batch_options());
 }
 
@@ -217,11 +259,7 @@ Result<std::vector<Row>> Accelerator::ScanTable(
 Result<std::optional<AggPartial>> Accelerator::ExecuteSelectPartial(
     const sql::BoundSelect& plan, TxnId reader, Csn snapshot, TraceContext tc) {
   IDAA_RETURN_IF_ERROR(CheckReady("SELECT"));
-  AccelTableResolver resolver =
-      [this](const sql::BoundTable& bt) -> Result<const ColumnTable*> {
-    return static_cast<const Accelerator*>(this)->GetTable(bt.info->name);
-  };
-  return ExecuteAccelSelectPartial(plan, resolver, reader, snapshot, *tm_,
+  return ExecuteAccelSelectPartial(plan, resolver(), reader, snapshot, *tm_,
                                    &pool_, metrics_, tc, batch_options());
 }
 

@@ -51,6 +51,15 @@ struct ReplicaRoute {
   std::shared_ptr<void> pin;
 };
 
+/// Outcome of an AOT INSERT ... SELECT run on the accelerator.
+struct InsertSelectResult {
+  size_t rows = 0;  ///< rows appended to the target
+  /// true: the morsel scan or batch join wrote the target's columns
+  /// directly (path=columnar); false: the SELECT produced rows that
+  /// RowsToColumnar converted (path=rows).
+  bool columnar = false;
+};
+
 class Accelerator {
  public:
   Accelerator(const AcceleratorOptions& options, TransactionManager* tm,
@@ -133,6 +142,21 @@ class Accelerator {
   virtual Status LoadColumnar(const std::string& name, const ColumnarRows& rows,
                               TxnId txn);
 
+  /// AOT INSERT ... SELECT from scan to append, entirely on this
+  /// accelerator: runs `plan` under (txn, snapshot) visibility and appends
+  /// its output to `target` under `txn`, select item i landing in target
+  /// column column_mapping[i] and every other column NULL.
+  /// ColumnarInsertEligible plans have the morsel scan or batch join write
+  /// straight into the target's columns; every other shape's rows go
+  /// through RowsToColumnar. Either way one InsertColumnar appends the
+  /// batches in order, so the stored state equals LoadRows of the SELECT's
+  /// rows. Faults, evaluation errors and constraint violations all surface
+  /// before the first row is appended, so a retry cannot duplicate rows.
+  virtual Result<InsertSelectResult> InsertSelect(
+      const std::string& target, const sql::BoundSelect& plan,
+      const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
+      TraceContext tc = {});
+
   /// Delegated SELECT under (reader, snapshot) visibility. With a trace
   /// context, slice scans and merges are recorded as spans.
   virtual Result<ResultSet> ExecuteSelect(const sql::BoundSelect& plan,
@@ -188,17 +212,27 @@ class Accelerator {
       const sql::BoundSelect& plan, TxnId reader, Csn snapshot,
       TraceContext tc = {});
 
+  /// State/fault-gated columnar leg of an INSERT ... SELECT on this
+  /// instance (the per-shard leg of a sharded one): ExecuteAccelSelectInto
+  /// over this instance's tables.
+  Result<std::optional<std::vector<ColumnarRows>>> SelectInto(
+      const sql::BoundSelect& plan, const InsertLayout& layout, TxnId reader,
+      Csn snapshot, TraceContext tc = {});
+
+  /// kUnavailable unless Online, then the injector's draw for this
+  /// accelerator's site. `op` names the rejected operation in the message.
+  Status CheckReady(const char* op) const;
+
   ThreadPool* thread_pool() { return &pool_; }
   TransactionManager* txn_manager() { return tm_; }
   MetricsRegistry* metrics() { return metrics_; }
 
  protected:
-  /// kUnavailable unless Online, then the injector's draw for this
-  /// accelerator's site. `op` names the rejected operation in the message.
-  Status CheckReady(const char* op) const;
   BatchOptions batch_options() const {
     return BatchOptions{options_.morsel_size};
   }
+  /// Resolves a plan's tables to this instance's column tables.
+  AccelTableResolver resolver() const;
 
   AcceleratorOptions options_;
   std::string name_;

@@ -427,20 +427,61 @@ ColRef ResolveColumn(size_t combined_index, size_t base_width,
   return {true, combined_index, 0};
 }
 
+/// Close one probe batch of the columnar materialize mode: gather the
+/// layout's bare-column items at the recorded output rows — base columns
+/// through the batch's cursors, dimension columns from the build copies
+/// (kNoRow pads NULL) — and count the rows into `out`. Clears the
+/// positions for the next batch.
+Status GatherJoinBatch(const InsertLayout& layout, size_t base_width,
+                       const std::vector<BuildSide>& dims,
+                       std::vector<ColumnCursor>& base_curs,
+                       std::vector<size_t>* base_pos,
+                       std::vector<std::vector<uint32_t>>* dim_pos,
+                       ColumnarRows* out) {
+  const size_t n = base_pos->size();
+  for (size_t c = 0; c < layout.targets.size(); ++c) {
+    const InsertLayout::Target& t = layout.targets[c];
+    if (t.source != InsertLayout::Target::Source::kColumn) continue;
+    const ColRef ref = ResolveColumn(t.column, base_width, dims);
+    if (ref.from_base) {
+      IDAA_RETURN_IF_ERROR(GatherCells(
+          base_curs[ref.col], n, [&](size_t k) { return (*base_pos)[k]; },
+          t.type, &out->columns[c]));
+      continue;
+    }
+    const std::vector<uint32_t>& rows = (*dim_pos)[ref.dim];
+    ColumnCursor cur(*dims[ref.dim].cols[ref.col]);
+    IDAA_RETURN_IF_ERROR(GatherCells(
+        cur, n,
+        [&](size_t k) {
+          return rows[k] == kNoRow ? kPadRow : static_cast<size_t>(rows[k]);
+        },
+        t.type, &out->columns[c]));
+  }
+  out->num_rows += n;
+  base_pos->clear();
+  for (auto& rows : *dim_pos) rows.clear();
+  return Status::OK();
+}
+
 /// How an aggregate consumes its argument (mirrors BatchAggregate).
 enum class ArgMode { kRow, kCount, kInt64, kDouble, kValue };
 
-/// Shared body of TryBatchJoin and TryBatchJoinPartial. Returns false
-/// when the plan is ineligible, or when `partial` is set and the
-/// aggregation cannot run inside the probe. Otherwise fills `*partial`
-/// (when non-null) with the merged, unfinalized probe partials, or
-/// `*result` with the finished statement result.
+/// Shared body of TryBatchJoin, TryBatchJoinPartial and TryBatchJoinInto.
+/// Returns false when the plan is ineligible, or when `partial` is set and
+/// the aggregation cannot run inside the probe. Otherwise fills `*partial`
+/// (when non-null) with the merged, unfinalized probe partials,
+/// `*columnar` (when `layout` is set; the plan is ColumnarInsertEligible)
+/// with one batch per morsel in `layout`'s target columns, or `*result`
+/// with the finished statement result.
 Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
                           const AccelTableResolver& resolver, TxnId reader,
                           Csn snapshot, const TransactionManager& tm,
                           ThreadPool* pool, MetricsRegistry* metrics,
                           TraceContext tc, const BatchOptions& batch,
-                          ResultSet* result, AggPartial* partial) {
+                          ResultSet* result, AggPartial* partial,
+                          const InsertLayout* layout = nullptr,
+                          std::vector<ColumnarRows>* columnar = nullptr) {
   std::vector<BuildSide> dims;
   if (!BatchJoinEligible(plan, &dims)) return false;
   const bool aggregate_mode = JoinAggregateMode(plan, dims);
@@ -486,6 +527,25 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
   }
   const std::vector<std::vector<uint8_t>> projections =
       ComputeProjections(plan);
+  // Columns the materialize mode boxes into the combined row: every
+  // projected column, or — writing into an INSERT target — only the inputs
+  // of the residual conjuncts, the WHERE and the expression items (bare
+  // select columns are gathered typed, after the probe of each batch).
+  std::vector<uint8_t> row_cols(combined_width, 0);
+  if (layout == nullptr) {
+    for (size_t t = 0; t < plan.tables.size(); ++t) {
+      const size_t width = plan.tables[t].info->schema.NumColumns();
+      for (size_t c = 0; c < width; ++c) {
+        row_cols[plan.tables[t].offset + c] = projections[t][c];
+      }
+    }
+  } else {
+    std::vector<const sql::BoundExpr*> filters = {plan.where.get()};
+    for (const BuildSide& dim : dims) {
+      filters.insert(filters.end(), dim.residual.begin(), dim.residual.end());
+    }
+    row_cols = ScratchColumns(*layout, combined_width, filters);
+  }
 
   // ---- Build phase ------------------------------------------------------
   TraceSpan build_span(tc, "accel.batch_join_build");
@@ -649,6 +709,10 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
     std::vector<uint32_t> cur;
     std::vector<uint64_t> kw;
     Row row;
+    // Columnar materialize mode: the current batch's output rows as base
+    // row positions and per-dimension build rows (kNoRow = left padding).
+    std::vector<size_t> base_pos;
+    std::vector<std::vector<uint32_t>> dim_pos;
   };
   size_t max_keys = 1;
   for (const BuildSide& dim : dims) {
@@ -663,9 +727,14 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
     wk.cur.resize(dims.size());
     wk.kw.resize(max_keys);
     wk.row.resize(combined_width);
+    wk.dim_pos.resize(dims.size());
     workers.push_back(std::move(wk));
   }
   std::vector<std::vector<Row>> morsel_rows(morsels.size());
+  std::vector<ColumnarRows> morsel_cols(layout != nullptr ? morsels.size() : 0);
+  for (ColumnarRows& out : morsel_cols) {
+    out.columns.resize(layout->targets.size());
+  }
 
   auto run = [&](size_t w, size_t mi) {
     Worker& wk = workers[w];
@@ -878,10 +947,12 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
               // Materialize mode: late-materialize survivors into combined
               // rows, replicating JoinIterator chaining exactly (residual
               // conjuncts per candidate, left-pad when none pass, WHERE on
-              // the full combined row).
+              // the full combined row). Writing into an INSERT target, each
+              // survivor instead records its source rows and appends its
+              // expression items.
               Row& row = wk.row;
               for (size_t c = 0; c < base_width; ++c) {
-                if (projections[0][c]) row[c] = base_curs[c].Get(i);
+                if (row_cols[c]) row[c] = base_curs[c].Get(i);
               }
               std::function<void(size_t)> expand = [&](size_t d) {
                 if (!wk.status.ok()) return;
@@ -895,7 +966,17 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
                     }
                     if (!*pass) return;
                   }
-                  morsel_rows[mi].push_back(row);
+                  if (layout == nullptr) {
+                    morsel_rows[mi].push_back(row);
+                    return;
+                  }
+                  wk.base_pos.push_back(i);
+                  for (size_t dd = 0; dd < dims.size(); ++dd) {
+                    wk.dim_pos[dd].push_back(wk.cur[dd]);
+                  }
+                  if (layout->has_exprs) {
+                    wk.status = AppendExprCells(*layout, row, &morsel_cols[mi]);
+                  }
                   return;
                 }
                 const BuildSide& dim = dims[d];
@@ -905,10 +986,11 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
                                    : (dim.num_rows > 0 ? 0 : kNoRow);
                 while (r != kNoRow && wk.status.ok()) {
                   for (size_t c = 0; c < dim.width; ++c) {
-                    if (dim.cols[c] != nullptr) {
+                    if (row_cols[dim.offset + c]) {
                       row[dim.offset + c] = dim.cols[c]->Get(r);
                     }
                   }
+                  wk.cur[d] = r;
                   bool pass = true;
                   for (const sql::BoundExpr* pred : dim.residual) {
                     auto p = sql::EvalPredicate(*pred, row);
@@ -930,16 +1012,22 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
                 }
                 if (!matched && dim.bt->join_type == sql::JoinType::kLeft) {
                   for (size_t c = 0; c < dim.width; ++c) {
-                    if (dim.cols[c] != nullptr) {
+                    if (row_cols[dim.offset + c]) {
                       row[dim.offset + c] = Value::Null();
                     }
                   }
+                  wk.cur[d] = kNoRow;
                   expand(d + 1);
                 }
               };
               expand(0);
               if (!wk.status.ok()) return;
             }
+          }
+          if (layout != nullptr) {
+            wk.status = GatherJoinBatch(*layout, base_width, dims, base_curs,
+                                        &wk.base_pos, &wk.dim_pos,
+                                        &morsel_cols[mi]);
           }
         },
         zone_filter_ptr);
@@ -992,6 +1080,16 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
     IDAA_ASSIGN_OR_RETURN(*result, exec::FinalizeSelect(plan, std::move(post)));
     return true;
   }
+  if (layout != nullptr) {
+    uint64_t rows = 0;
+    for (ColumnarRows& out : morsel_cols) {
+      FinishColumnar(*layout, out.num_rows, &out);
+      rows += out.num_rows;
+      columnar->push_back(std::move(out));
+    }
+    merge_span.Attr("rows", rows);
+    return true;
+  }
   std::vector<Row> combined;
   size_t total_rows = 0;
   for (const auto& rows : morsel_rows) total_rows += rows.size();
@@ -1031,6 +1129,20 @@ Result<std::optional<AggPartial>> TryBatchJoinPartial(
                                      &partial));
   if (!done) return std::optional<AggPartial>();
   return std::optional<AggPartial>(std::move(partial));
+}
+
+Result<std::optional<std::vector<ColumnarRows>>> TryBatchJoinInto(
+    const sql::BoundSelect& plan, const InsertLayout& layout,
+    const AccelTableResolver& resolver, TxnId reader, Csn snapshot,
+    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
+    TraceContext tc, const BatchOptions& batch) {
+  std::vector<ColumnarRows> batches;
+  IDAA_ASSIGN_OR_RETURN(bool done,
+                        RunBatchJoin(plan, resolver, reader, snapshot, tm,
+                                     pool, metrics, tc, batch, nullptr,
+                                     nullptr, &layout, &batches));
+  if (!done) return std::optional<std::vector<ColumnarRows>>();
+  return std::optional<std::vector<ColumnarRows>>(std::move(batches));
 }
 
 }  // namespace idaa::accel

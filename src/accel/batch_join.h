@@ -36,4 +36,15 @@ Result<std::optional<AggPartial>> TryBatchJoinPartial(
     TxnId reader, Csn snapshot, const TransactionManager& tm, ThreadPool* pool,
     MetricsRegistry* metrics, TraceContext tc, const BatchOptions& batch);
 
+/// Columnar leg of the batch join for an AOT INSERT ... SELECT of a
+/// ColumnarInsertEligible plan: the materialize-mode probe writes every
+/// surviving combined row straight into `layout`'s target columns, one
+/// batch per probe morsel in morsel order (see ExecuteAccelSelectInto).
+/// nullopt when TryBatchJoin would decline the plan.
+Result<std::optional<std::vector<ColumnarRows>>> TryBatchJoinInto(
+    const sql::BoundSelect& plan, const InsertLayout& layout,
+    const AccelTableResolver& resolver, TxnId reader, Csn snapshot,
+    const TransactionManager& tm, ThreadPool* pool, MetricsRegistry* metrics,
+    TraceContext tc, const BatchOptions& batch);
+
 }  // namespace idaa::accel

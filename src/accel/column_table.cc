@@ -125,155 +125,128 @@ void AppendColumnRuns(const std::vector<uint32_t>& sel, size_t base,
 
 }  // namespace
 
-Status ColumnTable::InsertColumnar(const ColumnarRows& data, TxnId txn) {
-  if (data.columns.size() != schema_.NumColumns()) {
-    return Status::InvalidArgument("columnar insert: column count mismatch");
+Status ColumnTable::InsertColumnar(std::span<const ColumnarRows> batches,
+                                   TxnId txn) {
+  // Validate every staged batch up front so the loop below cannot fail
+  // mid-append: a failed statement appends nothing.
+  for (const ColumnarRows& data : batches) {
+    IDAA_RETURN_IF_ERROR(ValidateColumnar(schema_, data));
   }
-  // Validate the staged vectors against the schema up front so the loop
-  // below cannot fail mid-append (Insert validates per row for the same
-  // reason: a failed row leaves earlier rows appended — callers run inside
-  // a transaction whose rollback hides them either way).
   auto cell_is_null = [](const ColumnarRows::Col& col, size_t r) {
     return !col.nulls.empty() && col.nulls[r] != 0;
-  };
-  for (size_t c = 0; c < data.columns.size(); ++c) {
-    const ColumnarRows::Col& col = data.columns[c];
-    const ColumnDef& def = schema_.Column(c);
-    size_t values = 0;
-    switch (def.type) {
-      case DataType::kDouble:
-        values = col.doubles.size();
-        break;
-      case DataType::kInteger:
-        values = col.ints.size();
-        break;
-      case DataType::kVarchar:
-        values = col.strings.size();
-        break;
-      default:
-        return Status::InvalidArgument(
-            "columnar insert supports DOUBLE/INTEGER/VARCHAR columns only: " +
-            def.name);
-    }
-    if (values != data.num_rows ||
-        (!col.nulls.empty() && col.nulls.size() != data.num_rows)) {
-      return Status::InvalidArgument("columnar insert: column " + def.name +
-                                     " is not sized to num_rows");
-    }
-    if (!def.nullable) {
-      for (size_t r = 0; r < data.num_rows; ++r) {
-        if (cell_is_null(col, r)) {
-          return Status::ConstraintViolation("NULL value for NOT NULL column " +
-                                             def.name);
-        }
-      }
-    }
-  }
-  // Materialize one cell as a Value (distribution hashing / zone maps).
-  auto cell_value = [&](size_t c, size_t r) {
-    const ColumnarRows::Col& col = data.columns[c];
-    if (cell_is_null(col, r)) return Value::Null();
-    switch (schema_.Column(c).type) {
-      case DataType::kDouble:
-        return Value::Double(col.doubles[r]);
-      case DataType::kInteger:
-        return Value::Integer(col.ints[r]);
-      default:
-        return Value::Varchar(col.strings[r]);
-    }
   };
 
   std::unique_lock<std::shared_mutex> lock(mu_);
   // Scatter order replicates row-at-a-time SliceFor exactly: every row's
-  // target slice is fixed up front (same round-robin / hash sequence), then
-  // each slice's rows are appended in ascending staging order — their
-  // arrival order — column by column, so the stored state is identical to
-  // inserting the same rows via Insert(). The column-by-column walk lets
-  // zone-map maintenance fold into one ObserveRun per zone-sized run
-  // instead of one Value-boxed Observe per cell.
-  std::vector<uint32_t> slice_of(data.num_rows);
-  for (size_t r = 0; r < data.num_rows; ++r) {
-    slice_of[r] = static_cast<uint32_t>(
-        distribution_column_
-            ? cell_value(*distribution_column_, r).Hash() % slices_.size()
-            : round_robin_next_++ % slices_.size());
+  // target slice is fixed up front (same round-robin / hash sequence over
+  // the batches in order), then each slice's rows are appended in
+  // ascending staging order — their arrival order — column by column, so
+  // the stored state is identical to inserting the same rows via Insert().
+  // The column-by-column walk lets zone-map maintenance fold into one
+  // ObserveRun per zone-sized run instead of one Value-boxed Observe per
+  // cell.
+  std::vector<std::vector<uint32_t>> slice_of(batches.size());
+  std::vector<size_t> slice_rows(slices_.size(), 0);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const ColumnarRows& data = batches[b];
+    slice_of[b].resize(data.num_rows);
+    for (size_t r = 0; r < data.num_rows; ++r) {
+      const size_t s =
+          distribution_column_
+              ? ColumnarCell(data.columns[*distribution_column_],
+                             schema_.Column(*distribution_column_).type, r)
+                        .Hash() %
+                    slices_.size()
+              : round_robin_next_++ % slices_.size();
+      slice_of[b][r] = static_cast<uint32_t>(s);
+      ++slice_rows[s];
+    }
   }
   std::vector<uint32_t> sel;
   for (size_t s = 0; s < slices_.size(); ++s) {
+    if (slice_rows[s] == 0) continue;
     Slice& slice = slices_[s];
-    sel.clear();
-    sel.reserve(data.num_rows / slices_.size() + 1);
-    for (size_t r = 0; r < data.num_rows; ++r) {
-      if (slice_of[r] == s) sel.push_back(static_cast<uint32_t>(r));
-    }
-    if (sel.empty()) continue;
-    const size_t base = slice.NumRows();
-    slice.Reserve(base + sel.size());
+    slice.Reserve(slice.NumRows() + slice_rows[s]);
     const size_t zone_size = slice.zone_map.zone_size();
-    for (size_t c = 0; c < data.columns.size(); ++c) {
-      const ColumnarRows::Col& col = data.columns[c];
-      Column& dst = *slice.columns[c];
-      switch (dst.type()) {
-        case DataType::kDouble:
-          AppendColumnRuns<double>(
-              sel, base, zone_size, c, slice.zone_map, col, dst,
-              [](const ColumnarRows::Col& sc, uint32_t r) {
-                return sc.doubles[r];
-              },
-              [](Column& d, double v) { d.AppendRawDouble(v); },
-              [](double v) { return Value::Double(v); });
-          break;
-        case DataType::kInteger:
-          AppendColumnRuns<int64_t>(
-              sel, base, zone_size, c, slice.zone_map, col, dst,
-              [](const ColumnarRows::Col& sc, uint32_t r) {
-                return sc.ints[r];
-              },
-              [](Column& d, int64_t v) { d.AppendRawInt(v); },
-              [](int64_t v) { return Value::Integer(v); });
-          break;
-        default: {
-          // Dictionary-encoded strings: track run extrema by reference
-          // against the staged vector (no per-cell Value boxing), then fold
-          // zone-map maintenance into one ObserveRun per zone-sized run —
-          // two boxed extrema per run instead of one per cell. Final zone
-          // stats are identical to per-cell Observe.
-          size_t k = 0;
-          while (k < sel.size()) {
-            const size_t abs = base + k;
-            const size_t seg =
-                std::min(sel.size() - k, zone_size - abs % zone_size);
-            const std::string* lo = nullptr;
-            const std::string* hi = nullptr;
-            bool null_seen = false;
-            for (size_t j = k; j < k + seg; ++j) {
-              const uint32_t r = sel[j];
-              if (cell_is_null(col, r)) {
-                dst.AppendRawNull();
-                null_seen = true;
-                continue;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const ColumnarRows& data = batches[b];
+      sel.clear();
+      for (size_t r = 0; r < data.num_rows; ++r) {
+        if (slice_of[b][r] == s) sel.push_back(static_cast<uint32_t>(r));
+      }
+      if (sel.empty()) continue;
+      const size_t base = slice.NumRows();
+      for (size_t c = 0; c < data.columns.size(); ++c) {
+        const ColumnarRows::Col& col = data.columns[c];
+        Column& dst = *slice.columns[c];
+        switch (dst.type()) {
+          case DataType::kDouble:
+            AppendColumnRuns<double>(
+                sel, base, zone_size, c, slice.zone_map, col, dst,
+                [](const ColumnarRows::Col& sc, uint32_t r) {
+                  return sc.doubles[r];
+                },
+                [](Column& d, double v) { d.AppendRawDouble(v); },
+                [](double v) { return Value::Double(v); });
+            break;
+          case DataType::kVarchar: {
+            // Dictionary-encoded strings: track run extrema by reference
+            // against the staged vector (no per-cell Value boxing), then
+            // fold zone-map maintenance into one ObserveRun per zone-sized
+            // run — two boxed extrema per run instead of one per cell.
+            // Final zone stats are identical to per-cell Observe.
+            size_t k = 0;
+            while (k < sel.size()) {
+              const size_t abs = base + k;
+              const size_t seg =
+                  std::min(sel.size() - k, zone_size - abs % zone_size);
+              const std::string* lo = nullptr;
+              const std::string* hi = nullptr;
+              bool null_seen = false;
+              for (size_t j = k; j < k + seg; ++j) {
+                const uint32_t r = sel[j];
+                if (cell_is_null(col, r)) {
+                  dst.AppendRawNull();
+                  null_seen = true;
+                  continue;
+                }
+                const std::string& v = col.strings[r];
+                dst.AppendRawVarchar(v);
+                if (lo == nullptr) {
+                  lo = hi = &v;
+                } else if (v < *lo) {
+                  lo = &v;
+                } else if (*hi < v) {
+                  hi = &v;
+                }
               }
-              const std::string& v = col.strings[r];
-              dst.AppendRawVarchar(v);
-              if (lo == nullptr) {
-                lo = hi = &v;
-              } else if (v < *lo) {
-                lo = &v;
-              } else if (*hi < v) {
-                hi = &v;
-              }
+              slice.zone_map.ObserveRun(
+                  abs, c, seg,
+                  lo != nullptr ? Value::Varchar(*lo) : Value::Null(),
+                  hi != nullptr ? Value::Varchar(*hi) : Value::Null(),
+                  null_seen);
+              k += seg;
             }
-            slice.zone_map.ObserveRun(
-                abs, c, seg, lo != nullptr ? Value::Varchar(*lo) : Value::Null(),
-                hi != nullptr ? Value::Varchar(*hi) : Value::Null(), null_seen);
-            k += seg;
+            break;
+          }
+          default: {
+            // INTEGER/DATE/TIMESTAMP/BOOLEAN share the int64 storage; the
+            // zone-map extrema are boxed in the column's own type.
+            const DataType type = dst.type();
+            AppendColumnRuns<int64_t>(
+                sel, base, zone_size, c, slice.zone_map, col, dst,
+                [](const ColumnarRows::Col& sc, uint32_t r) {
+                  return sc.ints[r];
+                },
+                [](Column& d, int64_t v) { d.AppendRawInt(v); },
+                [type](int64_t v) { return IntCellValue(type, v); });
           }
         }
       }
-    }
-    for (size_t j = 0; j < sel.size(); ++j) {
-      slice.createxid.push_back(txn);
-      slice.deletexid.push_back(kInvalidTxnId);
+      for (size_t j = 0; j < sel.size(); ++j) {
+        slice.createxid.push_back(txn);
+        slice.deletexid.push_back(kInvalidTxnId);
+      }
     }
   }
   return Status::OK();

@@ -13,10 +13,12 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "accel/batch.h"
 #include "accel/column.h"
+#include "accel/columnar_insert.h"
 #include "accel/zone_map.h"
 #include "common/metrics.h"
 #include "common/result.h"
@@ -40,23 +42,6 @@ struct AcceleratorOptions {
   /// stop compacting (and rebuilds decompact, since rebuilt slices start
   /// raw).
   bool enable_encoding = true;
-};
-
-/// Column-major staging buffer for bulk appends from the vectorized
-/// engine: per column, exactly the typed vector matching the schema type
-/// is populated (sized num_rows; `nulls` is optional — empty means no
-/// NULLs, and values at NULL positions are ignored). Only DOUBLE, INTEGER
-/// and VARCHAR columns are supported; writers of other types use the
-/// row-at-a-time Insert.
-struct ColumnarRows {
-  struct Col {
-    std::vector<double> doubles;       ///< DataType::kDouble
-    std::vector<int64_t> ints;         ///< DataType::kInteger
-    std::vector<std::string> strings;  ///< DataType::kVarchar
-    std::vector<uint8_t> nulls;        ///< optional; 1 = NULL at that row
-  };
-  size_t num_rows = 0;
-  std::vector<Col> columns;
 };
 
 /// Result of a groom (space reclamation) pass.
@@ -85,11 +70,16 @@ class ColumnTable {
   /// manager publishes the commit).
   Status Insert(const std::vector<Row>& rows, TxnId txn);
 
-  /// Columnar bulk append: same transactional semantics and identical
-  /// stored state as Insert() of the equivalent rows, but values move
-  /// straight from the staged column vectors into the column arrays —
-  /// no Row materialization or per-cell Value boxing on the hot path.
-  Status InsertColumnar(const ColumnarRows& rows, TxnId txn);
+  /// Columnar bulk append of `batches`, in order: same transactional
+  /// semantics and identical stored state as Insert() of the equivalent
+  /// rows, but values move straight from the staged column vectors into
+  /// the column arrays — no Row materialization or per-cell Value boxing on
+  /// the hot path. Every batch is validated (ValidateColumnar) before any
+  /// row is appended, so a failed call appends nothing.
+  Status InsertColumnar(std::span<const ColumnarRows> batches, TxnId txn);
+  Status InsertColumnar(const ColumnarRows& rows, TxnId txn) {
+    return InsertColumnar(std::span<const ColumnarRows>(&rows, 1), txn);
+  }
 
   /// Mark all rows visible to `txn` that satisfy `predicate` (nullable) as
   /// deleted by `txn`. Snapshot-isolation first-writer-wins: deleting a row

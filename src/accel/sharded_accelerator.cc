@@ -293,60 +293,63 @@ Status ShardedAccelerator::LoadColumnar(const std::string& name,
                                         const ColumnarRows& rows, TxnId txn) {
   IDAA_RETURN_IF_ERROR(CheckReady("LOAD"));
   auto pin = AcquirePin();
+  return AppendColumnar(name, std::span<const ColumnarRows>(&rows, 1), "LOAD",
+                        txn);
+}
+
+Status ShardedAccelerator::AppendColumnar(
+    const std::string& name, std::span<const ColumnarRows> batches,
+    const char* op, TxnId txn) {
   IDAA_ASSIGN_OR_RETURN(std::optional<size_t> dc, DistributionOf(name));
-  if (!dc.has_value()) {
-    for (auto& shard : shards_) {
-      IDAA_RETURN_IF_ERROR(shard->LoadColumnar(name, rows, txn));
-    }
-    return Status::OK();
+  IDAA_ASSIGN_OR_RETURN(
+      const ColumnTable* first,
+      static_cast<const Accelerator*>(shards_[0].get())->GetTable(name));
+  const Schema& schema = first->schema();
+  for (const ColumnarRows& b : batches) {
+    IDAA_RETURN_IF_ERROR(ValidateColumnar(schema, b));
   }
-  if (*dc >= rows.columns.size()) {
-    return Status::Internal("LOAD " + name +
-                            ": columnar batch narrower than distribution "
-                            "column");
-  }
+  // Broadcast tables take every batch on every shard; partitioned tables
+  // take each row on the shard its distribution value hashes to, in batch
+  // order.
   const size_t n = shards_.size();
-  const ColumnarRows::Col& key = rows.columns[*dc];
-  std::vector<size_t> shard_of(rows.num_rows);
-  for (size_t r = 0; r < rows.num_rows; ++r) {
-    Value v;
-    if (key.nulls.empty() || key.nulls[r] == 0) {
-      if (!key.ints.empty()) {
-        v = Value::Integer(key.ints[r]);
-      } else if (!key.doubles.empty()) {
-        v = Value::Double(key.doubles[r]);
-      } else {
-        v = Value::Varchar(key.strings[r]);
+  std::vector<std::vector<ColumnarRows>> split(dc.has_value() ? n : 0);
+  if (dc.has_value()) {
+    const DataType key_type = schema.Column(*dc).type;
+    std::vector<size_t> shard_of;
+    for (const ColumnarRows& b : batches) {
+      shard_of.resize(b.num_rows);
+      for (size_t r = 0; r < b.num_rows; ++r) {
+        shard_of[r] =
+            ShardOfValue(ColumnarCell(b.columns[*dc], key_type, r), n);
+      }
+      std::vector<ColumnarRows> parts = SplitColumnar(b, shard_of, n);
+      for (size_t i = 0; i < n; ++i) {
+        if (parts[i].num_rows > 0) split[i].push_back(std::move(parts[i]));
       }
     }
-    shard_of[r] = ShardOfValue(v, n);
   }
-  std::vector<ColumnarRows> parts(n);
-  for (ColumnarRows& part : parts) part.columns.resize(rows.columns.size());
-  for (size_t r = 0; r < rows.num_rows; ++r) {
-    ColumnarRows& part = parts[shard_of[r]];
-    ++part.num_rows;
-    for (size_t c = 0; c < rows.columns.size(); ++c) {
-      const ColumnarRows::Col& src = rows.columns[c];
-      ColumnarRows::Col& dst = part.columns[c];
-      if (!src.doubles.empty()) dst.doubles.push_back(src.doubles[r]);
-      if (!src.ints.empty()) dst.ints.push_back(src.ints[r]);
-      if (!src.strings.empty()) dst.strings.push_back(src.strings[r]);
-      if (!src.nulls.empty()) dst.nulls.push_back(src.nulls[r]);
-    }
+  auto share = [&](size_t i) -> std::span<const ColumnarRows> {
+    return dc.has_value() ? split[i] : batches;
+  };
+  // Every receiving shard passes its readiness check (state and fault
+  // draw) before the first append, so the call appends all or nothing and
+  // a retry cannot duplicate rows.
+  std::vector<ColumnTable*> tables(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    if (share(i).empty()) continue;
+    IDAA_RETURN_IF_ERROR(shards_[i]->CheckReady(op));
+    IDAA_ASSIGN_OR_RETURN(tables[i], shards_[i]->GetTable(name));
   }
   for (size_t i = 0; i < n; ++i) {
-    if (parts[i].num_rows == 0) continue;
-    IDAA_RETURN_IF_ERROR(shards_[i]->LoadColumnar(name, parts[i], txn));
+    if (tables[i] != nullptr) {
+      IDAA_RETURN_IF_ERROR(tables[i]->InsertColumnar(share(i), txn));
+    }
   }
   return Status::OK();
 }
 
-Result<ResultSet> ShardedAccelerator::ExecuteSelect(const sql::BoundSelect& plan,
-                                                    TxnId reader, Csn snapshot,
-                                                    TraceContext tc) {
-  IDAA_RETURN_IF_ERROR(CheckReady("SELECT"));
-  auto pin = AcquirePin();
+Result<ShardedAccelerator::SelectRoute> ShardedAccelerator::RouteSelect(
+    const sql::BoundSelect& plan, TraceContext tc) {
   size_t partitioned_count = 0;
   size_t partitioned_table = 0;
   size_t partitioned_col = 0;
@@ -359,6 +362,9 @@ Result<ResultSet> ShardedAccelerator::ExecuteSelect(const sql::BoundSelect& plan
       partitioned_col = *dc;
     }
   }
+  SelectRoute route;
+  route.partitioned_table =
+      partitioned_count == 1 ? partitioned_table : plan.tables.size();
 
   if (partitioned_count == 0) {
     // Every table is broadcast: any Online shard holds the full data.
@@ -368,7 +374,8 @@ Result<ResultSet> ShardedAccelerator::ExecuteSelect(const sql::BoundSelect& plan
     TraceSpan span(tc, "accel.shard_route");
     span.Attr("strategy", "broadcast_delegate");
     span.Attr("shard", static_cast<uint64_t>(s));
-    return shards_[s]->ExecuteSelect(plan, reader, snapshot, tc);
+    route.shard = s;
+    return route;
   }
 
   if (partitioned_count == 1) {
@@ -388,13 +395,93 @@ Result<ResultSet> ShardedAccelerator::ExecuteSelect(const sql::BoundSelect& plan
       TraceSpan span(tc, "accel.shard_route");
       span.Attr("strategy", "shard_pruned");
       span.Attr("shard", static_cast<uint64_t>(s));
-      return shards_[s]->ExecuteSelect(plan, reader, snapshot, tc);
+      route.shard = s;
     }
   }
+  return route;
+}
 
-  return ScatterGather(plan, reader, snapshot, tc, partitioned_count == 1
-                                                       ? partitioned_table
-                                                       : plan.tables.size());
+Result<ResultSet> ShardedAccelerator::ExecuteSelect(const sql::BoundSelect& plan,
+                                                    TxnId reader, Csn snapshot,
+                                                    TraceContext tc) {
+  IDAA_RETURN_IF_ERROR(CheckReady("SELECT"));
+  auto pin = AcquirePin();
+  return SelectPinned(plan, reader, snapshot, tc);
+}
+
+Result<ResultSet> ShardedAccelerator::SelectPinned(
+    const sql::BoundSelect& plan, TxnId reader, Csn snapshot,
+    TraceContext tc) {
+  IDAA_ASSIGN_OR_RETURN(SelectRoute route, RouteSelect(plan, tc));
+  if (route.shard.has_value()) {
+    return shards_[*route.shard]->ExecuteSelect(plan, reader, snapshot, tc);
+  }
+  return ScatterGather(plan, reader, snapshot, tc, route.partitioned_table);
+}
+
+Result<InsertSelectResult> ShardedAccelerator::InsertSelect(
+    const std::string& target, const sql::BoundSelect& plan,
+    const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
+    TraceContext tc) {
+  using Batches = std::vector<ColumnarRows>;
+  IDAA_RETURN_IF_ERROR(CheckReady("INSERT"));
+  auto pin = AcquirePin();
+  IDAA_ASSIGN_OR_RETURN(
+      const ColumnTable* first,
+      static_cast<const Accelerator*>(shards_[0].get())->GetTable(target));
+  const Schema& schema = first->schema();
+  const InsertLayout layout = MakeInsertLayout(plan, column_mapping, schema);
+
+  // Produce: the columnar leg wherever ExecuteSelect would run the plan
+  // as one local plan per shard, in the order it would concatenate rows.
+  std::optional<Batches> columnar;
+  if (ColumnarInsertEligible(plan)) {
+    IDAA_ASSIGN_OR_RETURN(SelectRoute route, RouteSelect(plan, tc));
+    if (route.shard.has_value()) {
+      IDAA_ASSIGN_OR_RETURN(columnar,
+                            shards_[*route.shard]->SelectInto(
+                                plan, layout, txn, snapshot, tc));
+    } else if (route.partitioned_table < plan.tables.size()) {
+      IDAA_RETURN_IF_ERROR(AllShardsOnline("SELECT"));
+      const size_t n = shards_.size();
+      std::vector<Result<std::optional<Batches>>> locals;
+      locals.reserve(n);
+      for (size_t i = 0; i < n; ++i) locals.emplace_back(std::optional<Batches>());
+      TraceSpan span(tc, "accel.shard_scatter");
+      span.Attr("shards", static_cast<uint64_t>(n));
+      span.Attr("strategy", "concat");
+      pool_.ParallelFor(n, [&](size_t i) {
+        locals[i] =
+            shards_[i]->SelectInto(plan, layout, txn, snapshot, span.context());
+      });
+      Batches all;
+      bool declined = false;
+      for (auto& local : locals) {
+        IDAA_RETURN_IF_ERROR(local.status());
+        if (!local->has_value()) {
+          declined = true;
+          continue;
+        }
+        for (ColumnarRows& b : **local) all.push_back(std::move(b));
+      }
+      if (!declined) columnar = std::move(all);
+    }
+  }
+  InsertSelectResult out;
+  out.columnar = columnar.has_value();
+  Batches batches;
+  if (columnar.has_value()) {
+    batches = std::move(*columnar);
+  } else {
+    IDAA_ASSIGN_OR_RETURN(ResultSet rows,
+                          SelectPinned(plan, txn, snapshot, tc));
+    IDAA_ASSIGN_OR_RETURN(ColumnarRows staged,
+                          RowsToColumnar(rows.rows(), column_mapping, schema));
+    batches.push_back(std::move(staged));
+  }
+  IDAA_RETURN_IF_ERROR(AppendColumnar(target, batches, "INSERT", txn));
+  for (const ColumnarRows& b : batches) out.rows += b.num_rows;
+  return out;
 }
 
 Result<ResultSet> ShardedAccelerator::ScatterGather(

@@ -59,6 +59,7 @@
 #include <condition_variable>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -123,6 +124,14 @@ class ShardedAccelerator : public Accelerator {
                       TxnId txn) override;
   Result<ResultSet> ExecuteSelect(const sql::BoundSelect& plan, TxnId reader,
                                   Csn snapshot, TraceContext tc = {}) override;
+  /// Runs the SELECT through the same shard strategies as ExecuteSelect —
+  /// the columnar leg on the broadcast-delegate, shard-pruned and concat
+  /// routes (shard-major batch order, as concat orders rows), the rows leg
+  /// otherwise — then appends the batches through AppendColumnar.
+  Result<InsertSelectResult> InsertSelect(
+      const std::string& target, const sql::BoundSelect& plan,
+      const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
+      TraceContext tc = {}) override;
   Result<size_t> ExecuteUpdate(const sql::BoundUpdate& plan, TxnId txn,
                                Csn snapshot) override;
   Result<size_t> ExecuteDelete(const sql::BoundDelete& plan, TxnId txn,
@@ -152,6 +161,32 @@ class ShardedAccelerator : public Accelerator {
 
   /// kUnavailable naming the first non-Online shard; OK when all serve.
   Status AllShardsOnline(const char* op) const;
+
+  /// Where a SELECT runs: on one shard (every table broadcast, or the one
+  /// partitioned table pruned to a shard by a distribution-key equality),
+  /// or scattered. `partitioned_table` is the index of the single
+  /// partitioned table, plan.tables.size() when several are partitioned.
+  struct SelectRoute {
+    std::optional<size_t> shard;
+    size_t partitioned_table = 0;
+  };
+  /// Callers hold a topology pin. Records the delegate decision as an
+  /// accel.shard_route span.
+  Result<SelectRoute> RouteSelect(const sql::BoundSelect& plan,
+                                  TraceContext tc);
+
+  /// Append `batches` to `name` under `txn`, each row on the shard it
+  /// belongs to (every shard for a broadcast table), in batch order. All
+  /// batches are validated and every receiving shard passes
+  /// CheckReady(op) before the first append, so the call appends all or
+  /// nothing. Callers hold a topology pin.
+  Status AppendColumnar(const std::string& name,
+                        std::span<const ColumnarRows> batches, const char* op,
+                        TxnId txn);
+
+  /// ExecuteSelect's body; callers hold a topology pin.
+  Result<ResultSet> SelectPinned(const sql::BoundSelect& plan, TxnId reader,
+                                 Csn snapshot, TraceContext tc);
 
   Result<ResultSet> ScatterGather(const sql::BoundSelect& plan, TxnId reader,
                                   Csn snapshot, TraceContext tc,

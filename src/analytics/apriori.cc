@@ -126,10 +126,11 @@ class AprioriOperator : public AnalyticsOperator {
                           ctx.OpenInput(input));
     // Grouping into per-tid item sets is set-union, so the per-morsel
     // partial maps merged in ascending morsel order give the same map for
-    // any thread count.
-    std::map<std::string, std::set<std::string>> grouped;
-    std::vector<std::map<std::string, std::set<std::string>>> partials(
-        in->num_morsels());
+    // any thread count. Tids and items are keyed by storage equality (DOUBLE
+    // tids 1000001 and 1000002 are two transactions) and items are named by
+    // their exact rendering.
+    std::map<Value, std::set<Value>> grouped;
+    std::vector<std::map<Value, std::set<Value>>> partials(in->num_morsels());
     in->Scan(
         [&](size_t, size_t mi, const accel::ColumnBatch& batch) {
           auto& part = partials[mi];
@@ -138,7 +139,7 @@ class AprioriOperator : public AnalyticsOperator {
           for (size_t k = 0; k < batch.sel_count; ++k) {
             const size_t i = batch.AbsoluteRow(k);
             if (tid.IsNull(i) || item.IsNull(i)) continue;
-            part[tid.Get(i).ToString()].insert(item.Get(i).ToString());
+            part[tid.Get(i)].insert(item.Get(i));
           }
         },
         ctx.trace(), "analytics.apriori.group");
@@ -149,7 +150,11 @@ class AprioriOperator : public AnalyticsOperator {
     }
     std::vector<std::set<std::string>> transactions;
     transactions.reserve(grouped.size());
-    for (auto& [tid, items] : grouped) transactions.push_back(std::move(items));
+    for (const auto& [tid, items] : grouped) {
+      std::set<std::string> names;
+      for (const Value& item : items) names.insert(item.ToExactString());
+      transactions.push_back(std::move(names));
+    }
 
     std::vector<FrequentItemset> itemsets;
     {

@@ -237,7 +237,7 @@ AnalyticsInput::ExtractLabeledFeatures(const std::vector<size_t>& feature_cols,
   IDAA_RETURN_IF_ERROR(CheckNumericColumns(schema(), feature_cols));
   struct Partial {
     std::vector<std::vector<double>> features;
-    std::vector<std::string> labels;
+    std::vector<Value> labels;
     size_t rows = 0;
   };
   std::vector<Partial> partials(morsels_.size());
@@ -262,7 +262,7 @@ AnalyticsInput::ExtractLabeledFeatures(const std::vector<size_t>& feature_cols,
           }
           if (skip) continue;
           part.features.push_back(std::move(feature));
-          part.labels.push_back(label.Get(i).ToString());
+          part.labels.push_back(label.Get(i));
         }
       },
       tc, "analytics.extract");

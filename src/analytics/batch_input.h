@@ -69,11 +69,12 @@ class AnalyticsInput {
       const std::vector<size_t>& columns, TraceContext tc,
       size_t* total_rows = nullptr, size_t* skipped_rows = nullptr) const;
 
-  /// Like ExtractFeatures but also materializes the (stringified) label
-  /// column; rows with a NULL label or NULL feature are skipped.
+  /// Like ExtractFeatures but also materializes the label column as typed
+  /// values (classes are keyed by storage equality); rows with a NULL label
+  /// or NULL feature are skipped.
   struct LabeledFeatures {
     std::vector<std::vector<double>> features;
-    std::vector<std::string> labels;
+    std::vector<Value> labels;
     size_t total_rows = 0;
     size_t skipped_rows = 0;
   };

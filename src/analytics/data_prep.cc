@@ -571,25 +571,27 @@ class OneHotOperator : public TableToTableOperator {
     // lists concatenated in ascending chunk order give the table-wide
     // first-appearance order exactly; the max_values check runs on the
     // merged set.
-    std::map<std::string, size_t> categories;  // value -> indicator index
+    // Categories are keyed by storage equality (DOUBLE 1000001 and 1000002
+    // are two categories) and named by their exact rendering.
+    std::map<Value, size_t> categories;  // value -> indicator index
     struct Partial {
-      std::vector<std::string> order;
-      std::set<std::string> seen;
+      std::vector<Value> order;
+      std::set<Value> seen;
     };
     std::vector<Partial> partials(NumChunks(rows.size()));
     ParallelChunks(pool, rows.size(),
                    [&](size_t chunk, size_t begin, size_t end) {
                      Partial& part = partials[chunk];
                      for (size_t r = begin; r < end; ++r) {
-                       if (rows[r][col].is_null()) continue;
-                       std::string key = rows[r][col].ToString();
+                       const Value& key = rows[r][col];
+                       if (key.is_null()) continue;
                        if (part.seen.insert(key).second) {
-                         part.order.push_back(std::move(key));
+                         part.order.push_back(key);
                        }
                      }
                    });
     for (const Partial& part : partials) {
-      for (const std::string& key : part.order) {
+      for (const Value& key : part.order) {
         if (!categories.count(key)) {
           if (static_cast<int64_t>(categories.size()) >= max_values) {
             return Status::InvalidArgument(
@@ -601,11 +603,11 @@ class OneHotOperator : public TableToTableOperator {
     }
 
     std::vector<ColumnDef> out_cols = in_schema.columns();
-    std::vector<std::string> ordered(categories.size());
+    std::vector<Value> ordered(categories.size());
     for (const auto& [value, idx] : categories) ordered[idx] = value;
-    for (const std::string& value : ordered) {
+    for (const Value& value : ordered) {
       std::string safe;
-      for (char ch : value) {
+      for (char ch : value.ToExactString()) {
         safe += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
       }
       out_cols.push_back({Catalog::NormalizeName(column) + "_" + ToUpper(safe),
@@ -615,9 +617,8 @@ class OneHotOperator : public TableToTableOperator {
 
     auto expand = [&](const Row& row) {
       Row out = row;
-      std::string key = row[col].is_null() ? "" : row[col].ToString();
-      for (const std::string& value : ordered) {
-        out.push_back(Value::Integer(!row[col].is_null() && key == value));
+      for (const Value& value : ordered) {
+        out.push_back(Value::Integer(row[col] == value));
       }
       return out;
     };
@@ -757,8 +758,10 @@ class SummarizeOperator : public AnalyticsOperator {
            Value::Integer(static_cast<int64_t>(n)),
            Value::Integer(static_cast<int64_t>(nulls)),
            Value::Integer(static_cast<int64_t>(distinct.size())),
-           min_v.is_null() ? Value::Null() : Value::Varchar(min_v.ToString()),
-           max_v.is_null() ? Value::Null() : Value::Varchar(max_v.ToString()),
+           min_v.is_null() ? Value::Null()
+                           : Value::Varchar(min_v.ToExactString()),
+           max_v.is_null() ? Value::Null()
+                           : Value::Varchar(max_v.ToExactString()),
            mean, stddev};
     };
     {

@@ -11,7 +11,7 @@ namespace idaa::analytics {
 namespace {
 
 /// Gini impurity of a label multiset.
-double Gini(const std::map<std::string, size_t>& counts, size_t total) {
+double Gini(const std::map<Value, size_t>& counts, size_t total) {
   if (total == 0) return 0.0;
   double g = 1.0;
   for (const auto& [label, count] : counts) {
@@ -21,11 +21,11 @@ double Gini(const std::map<std::string, size_t>& counts, size_t total) {
   return g;
 }
 
-std::string MajorityLabel(const std::vector<std::string>& labels,
+Value MajorityLabel(const std::vector<Value>& labels,
                           const std::vector<size_t>& indices) {
-  std::map<std::string, size_t> counts;
+  std::map<Value, size_t> counts;
   for (size_t i : indices) ++counts[labels[i]];
-  std::string best;
+  Value best;
   size_t best_count = 0;
   for (const auto& [label, count] : counts) {
     if (count > best_count) {
@@ -39,7 +39,7 @@ std::string MajorityLabel(const std::vector<std::string>& labels,
 }  // namespace
 
 int DecisionTreeModel::Build(const std::vector<std::vector<double>>& features,
-                             const std::vector<std::string>& labels,
+                             const std::vector<Value>& labels,
                              const std::vector<size_t>& indices, size_t depth,
                              size_t max_depth, size_t min_samples) {
   Node node;
@@ -47,7 +47,7 @@ int DecisionTreeModel::Build(const std::vector<std::vector<double>>& features,
   node.label = MajorityLabel(labels, indices);
 
   // Stop conditions.
-  std::map<std::string, size_t> counts;
+  std::map<Value, size_t> counts;
   for (size_t i : indices) ++counts[labels[i]];
   bool pure = counts.size() <= 1;
   if (pure || depth >= max_depth || indices.size() < min_samples) {
@@ -80,7 +80,7 @@ int DecisionTreeModel::Build(const std::vector<std::vector<double>>& features,
     values.erase(std::unique(values.begin(), values.end()), values.end());
     for (size_t v = 0; v + 1 < values.size(); ++v) {
       double threshold = (values[v] + values[v + 1]) / 2.0;
-      std::map<std::string, size_t> left_counts, right_counts;
+      std::map<Value, size_t> left_counts, right_counts;
       size_t nl = 0, nr = 0;
       for (size_t i : indices) {
         if (features[i][f] <= threshold) {
@@ -148,7 +148,7 @@ int DecisionTreeModel::Build(const std::vector<std::vector<double>>& features,
 
 Result<DecisionTreeModel> DecisionTreeModel::Fit(
     const std::vector<std::vector<double>>& features,
-    const std::vector<std::string>& labels, size_t max_depth,
+    const std::vector<Value>& labels, size_t max_depth,
     size_t min_samples, ThreadPool* pool) {
   if (features.size() != labels.size() || features.empty()) {
     return Status::InvalidArgument("tree: empty or mismatched inputs");
@@ -162,7 +162,7 @@ Result<DecisionTreeModel> DecisionTreeModel::Fit(
   return model;
 }
 
-const std::string& DecisionTreeModel::Predict(
+const Value& DecisionTreeModel::Predict(
     const std::vector<double>& features) const {
   // Root is node 0 (Build pushes the root first).
   size_t node = 0;
@@ -215,7 +215,7 @@ class DecisionTreeOperator : public AnalyticsOperator {
         AnalyticsInput::LabeledFeatures extracted,
         in->ExtractLabeledFeatures(feature_cols, label_col, ctx.trace()));
     std::vector<std::vector<double>> features = std::move(extracted.features);
-    std::vector<std::string> labels = std::move(extracted.labels);
+    std::vector<Value> labels = std::move(extracted.labels);
 
     DecisionTreeModel model;
     {
@@ -229,7 +229,7 @@ class DecisionTreeOperator : public AnalyticsOperator {
       fit.Attr("nodes", static_cast<uint64_t>(model.NumNodes()));
     }
 
-    std::vector<std::string> predictions(features.size());
+    std::vector<Value> predictions(features.size());
     {
       TraceSpan score(ctx.trace(), "analytics.decisiontree.score");
       ParallelChunks(in->pool(), features.size(),
@@ -264,8 +264,8 @@ class DecisionTreeOperator : public AnalyticsOperator {
       for (size_t r = 0; r < features.size(); ++r) {
         Row row;
         for (double d : features[r]) row.push_back(Value::Double(d));
-        row.push_back(Value::Varchar(labels[r]));
-        row.push_back(Value::Varchar(predictions[r]));
+        row.push_back(Value::Varchar(labels[r].ToExactString()));
+        row.push_back(Value::Varchar(predictions[r].ToExactString()));
         out_rows.push_back(std::move(row));
       }
       IDAA_RETURN_IF_ERROR(ctx.AppendRows(output, out_rows));

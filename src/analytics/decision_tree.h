@@ -1,5 +1,5 @@
 // DECISIONTREE: CART-style classification tree (Gini impurity, numeric
-// features, VARCHAR label). Params: input, label, columns, output (optional
+// features, a label of any type, keyed by storage equality). Params: input, label, columns, output (optional
 // predictions AOT), max_depth (def 5), min_samples (def 4).
 // Summary: training accuracy, node count, depth.
 
@@ -25,10 +25,10 @@ class DecisionTreeModel {
   /// the serial search builds, for any thread count.
   static Result<DecisionTreeModel> Fit(
       const std::vector<std::vector<double>>& features,
-      const std::vector<std::string>& labels, size_t max_depth,
+      const std::vector<Value>& labels, size_t max_depth,
       size_t min_samples, ThreadPool* pool = nullptr);
 
-  const std::string& Predict(const std::vector<double>& features) const;
+  const Value& Predict(const std::vector<double>& features) const;
 
   size_t NumNodes() const { return nodes_.size(); }
   size_t Depth() const;
@@ -36,7 +36,7 @@ class DecisionTreeModel {
  private:
   struct Node {
     bool is_leaf = true;
-    std::string label;      // leaf prediction
+    Value label;            // leaf prediction
     size_t feature = 0;     // split feature
     double threshold = 0;   // go left if value <= threshold
     int left = -1;
@@ -45,7 +45,7 @@ class DecisionTreeModel {
   };
 
   int Build(const std::vector<std::vector<double>>& features,
-            const std::vector<std::string>& labels,
+            const std::vector<Value>& labels,
             const std::vector<size_t>& indices, size_t depth, size_t max_depth,
             size_t min_samples);
 

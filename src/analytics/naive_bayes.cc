@@ -10,7 +10,7 @@ namespace idaa::analytics {
 
 Result<GaussianNbModel> GaussianNbModel::Fit(
     const std::vector<std::vector<double>>& features,
-    const std::vector<std::string>& labels, ThreadPool* pool) {
+    const std::vector<Value>& labels, ThreadPool* pool) {
   if (features.size() != labels.size() || features.empty()) {
     return Status::InvalidArgument("NB: empty or mismatched inputs");
   }
@@ -24,7 +24,7 @@ Result<GaussianNbModel> GaussianNbModel::Fit(
     size_t count = 0;
     std::vector<double> sum;
   };
-  std::vector<std::map<std::string, MeanPartial>> mean_partials(NumChunks(n));
+  std::vector<std::map<Value, MeanPartial>> mean_partials(NumChunks(n));
   ParallelChunks(pool, n, [&](size_t chunk, size_t begin, size_t end) {
     auto& part = mean_partials[chunk];
     for (size_t r = begin; r < end; ++r) {
@@ -34,7 +34,7 @@ Result<GaussianNbModel> GaussianNbModel::Fit(
       for (size_t d = 0; d < dims; ++d) cls.sum[d] += features[r][d];
     }
   });
-  std::map<std::string, size_t> counts;
+  std::map<Value, size_t> counts;
   for (const auto& part : mean_partials) {
     for (const auto& [label, cls] : part) {
       ClassStats& stats = model.classes_[label];
@@ -54,7 +54,7 @@ Result<GaussianNbModel> GaussianNbModel::Fit(
   }
 
   // Pass 2: per-chunk variance sums against the final means.
-  std::vector<std::map<std::string, std::vector<double>>> var_partials(
+  std::vector<std::map<Value, std::vector<double>>> var_partials(
       NumChunks(n));
   ParallelChunks(pool, n, [&](size_t chunk, size_t begin, size_t end) {
     auto& part = var_partials[chunk];
@@ -83,10 +83,10 @@ Result<GaussianNbModel> GaussianNbModel::Fit(
   return model;
 }
 
-const std::string& GaussianNbModel::Predict(
+const Value& GaussianNbModel::Predict(
     const std::vector<double>& features) const {
   double best_score = -std::numeric_limits<double>::max();
-  const std::string* best_label = &classes_.begin()->first;
+  const Value* best_label = &classes_.begin()->first;
   for (const auto& [label, stats] : classes_) {
     double score = std::log(stats.prior);
     for (size_t d = 0; d < features.size(); ++d) {
@@ -134,7 +134,7 @@ class NaiveBayesOperator : public AnalyticsOperator {
         AnalyticsInput::LabeledFeatures extracted,
         in->ExtractLabeledFeatures(feature_cols, label_col, ctx.trace()));
     std::vector<std::vector<double>> features = std::move(extracted.features);
-    std::vector<std::string> labels = std::move(extracted.labels);
+    std::vector<Value> labels = std::move(extracted.labels);
 
     GaussianNbModel model;
     {
@@ -148,7 +148,7 @@ class NaiveBayesOperator : public AnalyticsOperator {
 
     // Training-set predictions; each row is independent, so the chunked
     // scoring result does not depend on the thread count.
-    std::vector<std::string> predictions(features.size());
+    std::vector<Value> predictions(features.size());
     {
       TraceSpan score(ctx.trace(), "analytics.naivebayes.score");
       ParallelChunks(in->pool(), features.size(),
@@ -183,8 +183,8 @@ class NaiveBayesOperator : public AnalyticsOperator {
       for (size_t r = 0; r < features.size(); ++r) {
         Row row;
         for (double d : features[r]) row.push_back(Value::Double(d));
-        row.push_back(Value::Varchar(labels[r]));
-        row.push_back(Value::Varchar(predictions[r]));
+        row.push_back(Value::Varchar(labels[r].ToExactString()));
+        row.push_back(Value::Varchar(predictions[r].ToExactString()));
         out_rows.push_back(std::move(row));
       }
       IDAA_RETURN_IF_ERROR(ctx.AppendRows(output, out_rows));
@@ -196,7 +196,8 @@ class NaiveBayesOperator : public AnalyticsOperator {
     summary.Append({Value::Varchar("ROWS"),
                     Value::Double(static_cast<double>(features.size()))});
     for (const auto& [label, prior] : model.priors()) {
-      summary.Append({Value::Varchar("PRIOR_" + label), Value::Double(prior)});
+      summary.Append({Value::Varchar("PRIOR_" + label.ToExactString()),
+                      Value::Double(prior)});
     }
     return summary;
   }

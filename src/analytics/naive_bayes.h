@@ -1,5 +1,5 @@
 // NAIVEBAYES: Gaussian naive Bayes classification (numeric features,
-// VARCHAR label). Params: input, label, columns, output (optional
+// label of any type, keyed by storage equality). Params: input, label, columns, output (optional
 // predictions AOT). Summary: training accuracy + per-class priors.
 
 #pragma once
@@ -17,17 +17,18 @@ std::unique_ptr<AnalyticsOperator> MakeNaiveBayesOperator();
 /// Trained Gaussian NB model, usable directly from C++.
 class GaussianNbModel {
  public:
-  /// Fit from feature rows and string labels: per-chunk class histograms
+  /// Fit from feature rows and class labels (keyed by storage equality:
+  /// DOUBLE labels 1000001 and 1000002 are two classes): per-chunk class histograms
   /// (count / mean-sum / variance-sum) on `pool` (serially when null),
   /// merged in ascending chunk order — bit-identical for any thread count.
   static Result<GaussianNbModel> Fit(
       const std::vector<std::vector<double>>& features,
-      const std::vector<std::string>& labels, ThreadPool* pool);
+      const std::vector<Value>& labels, ThreadPool* pool);
 
   /// Most probable class for one feature vector.
-  const std::string& Predict(const std::vector<double>& features) const;
+  const Value& Predict(const std::vector<double>& features) const;
 
-  const std::map<std::string, double>& priors() const { return priors_; }
+  const std::map<Value, double>& priors() const { return priors_; }
 
  private:
   struct ClassStats {
@@ -35,8 +36,8 @@ class GaussianNbModel {
     std::vector<double> mean;
     std::vector<double> variance;
   };
-  std::map<std::string, ClassStats> classes_;
-  std::map<std::string, double> priors_;
+  std::map<Value, ClassStats> classes_;
+  std::map<Value, double> priors_;
 };
 
 }  // namespace idaa::analytics

@@ -191,6 +191,13 @@ Result<int> Value::Compare(const Value& other) const {
                                  other.ToString());
 }
 
+std::string Value::ToExactString() const {
+  if (!is_double()) return ToString();
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", AsDouble());
+  return buf;
+}
+
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_boolean()) return AsBoolean() ? "TRUE" : "FALSE";

@@ -92,8 +92,15 @@ class Value {
   /// -1, 0, +1. Error if either is NULL or types are incomparable.
   Result<int> Compare(const Value& other) const;
 
-  /// Display string: "NULL", "42", "3.5", "'abc'"-less raw text.
+  /// Display string: "NULL", "42", "3.5", "'abc'"-less raw text. Doubles
+  /// render with %.6g, so distinct doubles can share a display string.
   std::string ToString() const;
+
+  /// ToString, except that doubles render with %.17g, which round-trips:
+  /// distinct values of one type never share an exact string. For names
+  /// and labels derived from data (APRIORI items, ONEHOT columns, class
+  /// labels, SUMMARIZE extrema).
+  std::string ToExactString() const;
 
   /// Approximate in-memory footprint in bytes; used for transfer metering.
   size_t ByteSize() const;

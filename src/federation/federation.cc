@@ -122,19 +122,6 @@ Status FederationEngine::Authorize(const Session& session,
   return status;
 }
 
-std::vector<Row> FederationEngine::MapRows(const std::vector<Row>& source,
-                                           const std::vector<size_t>& mapping,
-                                           size_t target_width) {
-  std::vector<Row> out;
-  out.reserve(source.size());
-  for (const Row& src : source) {
-    Row row(target_width, Value::Null());
-    for (size_t i = 0; i < mapping.size(); ++i) row[mapping[i]] = src[i];
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
 Result<accel::Accelerator*> FederationEngine::AcceleratorByName(
     const std::string& name) const {
   std::string normalized = Catalog::NormalizeName(name);
@@ -364,6 +351,59 @@ Result<ExecResult> FederationEngine::ExecuteSelect(
   return out;
 }
 
+Status FederationEngine::AotWriteWithRetry(
+    accel::Accelerator* target_accel, const Session& session, TraceContext tc,
+    uint32_t* retries, const std::function<Status()>& attempt) {
+  RetryOutcome outcome = RetryWithBackoff(PolicyFor(session), tc, attempt);
+  *retries += outcome.retries;
+  if (outcome.retries > 0) {
+    metrics_->Add(metric::kFederationRetries, outcome.retries);
+  }
+  if (outcome.status.ok()) {
+    health_.RecordSuccess(target_accel->name());
+    RecordShardHealth(target_accel->name(), /*success=*/true);
+  } else if (outcome.status.retryable()) {
+    health_.RecordFailure(target_accel->name());
+    RecordShardHealth(target_accel->name(), /*success=*/false);
+    // AOT writes have no DB2 fallback: surface a clear error.
+    return NoFailbackError(outcome.status,
+                           "accelerator-only tables have no DB2 copy and "
+                           "cannot fail back");
+  }
+  return outcome.status;
+}
+
+Result<std::vector<Row>> FederationEngine::InsertSourceRows(
+    const sql::InsertStatement& stmt, const sql::BoundInsert& bound,
+    Target* source, const Session& session, Transaction* txn, TraceContext tc,
+    ExecResult* out) {
+  if (*source != Target::kAccelerator) {
+    IDAA_ASSIGN_OR_RETURN(ResultSet rows,
+                          RunSelectOn(*source, *bound.select, txn, tc));
+    return std::move(rows.mutable_rows());
+  }
+  auto src = AccelSelectWithRetry(stmt.select->ToSql(), *bound.select,
+                                  session, txn, tc, &out->retries,
+                                  /*fetch_result=*/false);
+  if (!src.ok() && src.status().retryable() &&
+      AccelerationAllowsFailback(session.acceleration)) {
+    if (PlanHasAot(*bound.select)) {
+      return NoFailbackError(src.status(),
+                             "accelerator-only tables have no DB2 copy "
+                             "and cannot fail back");
+    }
+    TraceSpan failback_span(tc, "failback");
+    failback_span.Attr("error", src.status().ToString());
+    metrics_->Increment(metric::kFederationFailbacks);
+    out->failed_back = true;
+    *source = Target::kDb2;
+    src = RunSelectOn(Target::kDb2, *bound.select, txn,
+                      failback_span.context());
+  }
+  if (!src.ok()) return src.status();
+  return std::move(src->mutable_rows());
+}
+
 Result<ExecResult> FederationEngine::ExecuteInsert(
     const sql::InsertStatement& stmt, const Session& session, Transaction* txn,
     TraceContext tc) {
@@ -380,56 +420,42 @@ Result<ExecResult> FederationEngine::ExecuteInsert(
   IDAA_ASSIGN_OR_RETURN(sql::BoundInsert bound, binder.BindInsert(stmt));
   const TableInfo& target = *bound.table;
   bool target_aot = target.kind == TableKind::kAcceleratorOnly;
-  size_t width = target.schema.NumColumns();
 
   ExecResult out;
   out.executed_on = target_aot ? Target::kAccelerator : Target::kDb2;
 
-  // Materialize the source rows and note where they were produced.
-  std::vector<Row> rows;
-  Target source_target = Target::kDb2;
-  if (bound.select) {
-    IDAA_ASSIGN_OR_RETURN(RoutingDecision route,
-                          router_.RouteSelect(*stmt.select,
-                                              session.acceleration));
-    source_target = route.target;
-    out.failed_back = out.failed_back || route.failed_back;
-    ResultSet source_result;
-    if (source_target == Target::kAccelerator) {
-      auto src = AccelSelectWithRetry(stmt.select->ToSql(), *bound.select,
-                                      session, txn, tc, &out.retries,
-                                      /*fetch_result=*/false);
-      if (!src.ok() && src.status().retryable() &&
-          AccelerationAllowsFailback(session.acceleration)) {
-        if (PlanHasAot(*bound.select)) {
-          return NoFailbackError(src.status(),
-                                 "accelerator-only tables have no DB2 copy "
-                                 "and cannot fail back");
-        }
-        TraceSpan failback_span(tc, "failback");
-        failback_span.Attr("error", src.status().ToString());
-        metrics_->Increment(metric::kFederationFailbacks);
-        out.failed_back = true;
-        source_target = Target::kDb2;
-        src = RunSelectOn(Target::kDb2, *bound.select, txn,
-                          failback_span.context());
-      }
-      if (!src.ok()) return src.status();
-      source_result = std::move(*src);
-    } else {
+  if (!bound.select) {
+    // INSERT ... VALUES: the rows are already full width and coerced.
+    if (!target_aot) {
       IDAA_ASSIGN_OR_RETURN(
-          source_result, RunSelectOn(source_target, *bound.select, txn, tc));
+          out.affected_rows,
+          db2_->InsertRows(target, std::move(bound.values_rows), txn));
+      return out;
     }
-    rows = MapRows(source_result.rows(), bound.column_mapping, width);
-  } else {
-    rows = bound.values_rows;  // already full width
-  }
-
-  if (target_aot) {
     IDAA_ASSIGN_OR_RETURN(accel::Accelerator * target_accel,
                           AcceleratorForTable(target, "INSERT"));
-    bool cross_accelerator = false;
-    if (bound.select && source_target == Target::kAccelerator) {
+    IDAA_ASSIGN_OR_RETURN(
+        std::vector<Row> rows,
+        SendRowsRetry(bound.values_rows, session, tc, &out.retries));
+    out.detail = "INSERT VALUES into AOT";
+    IDAA_RETURN_IF_ERROR(AotWriteWithRetry(
+        target_accel, session, tc, &out.retries, [&]() -> Status {
+          return target_accel->LoadRows(target.name, rows, txn->id());
+        }));
+    out.affected_rows = rows.size();
+    return out;
+  }
+
+  IDAA_ASSIGN_OR_RETURN(RoutingDecision route,
+                        router_.RouteSelect(*stmt.select, session.acceleration));
+  Target source = route.target;
+  out.failed_back = route.failed_back;
+
+  accel::Accelerator* target_accel = nullptr;
+  bool cross_accelerator = false;
+  if (target_aot) {
+    IDAA_ASSIGN_OR_RETURN(target_accel, AcceleratorForTable(target, "INSERT"));
+    if (source == Target::kAccelerator) {
       for (const std::string& table : sql::ReferencedTables(*stmt.select)) {
         auto src_info = catalog_->GetTable(table);
         if (src_info.ok() &&
@@ -438,16 +464,67 @@ Result<ExecResult> FederationEngine::ExecuteInsert(
         }
       }
     }
-    if (source_target == Target::kDb2 && bound.select) {
+  }
+
+  if (target_aot && source == Target::kAccelerator && !cross_accelerator) {
+    // Fully accelerator-side: only the statement text crosses the boundary
+    // and the SELECT's output goes from scan to append inside the
+    // accelerator — the paper's ELT optimization. InsertSelect appends
+    // nothing unless it succeeds, so the attempt can be retried whole.
+    const std::string& name = target_accel->name();
+    if (!health_.AllowRequest(name)) {
+      return Status::Unavailable("INSERT rejected: accelerator " + name +
+                                 " circuit breaker is open");
+    }
+    metrics_->Increment(metric::kQueriesRoutedToAccel);
+    TraceSpan exec_span(tc, "accel.insert_select");
+    accel::InsertSelectResult appended;
+    Status written = AotWriteWithRetry(
+        target_accel, session, tc, &out.retries, [&]() -> Status {
+          IDAA_RETURN_IF_ERROR(channel_->SendStatement(stmt.ToSql(), tc));
+          IDAA_ASSIGN_OR_RETURN(
+              appended,
+              target_accel->InsertSelect(target.name, *bound.select,
+                                         bound.column_mapping, txn->id(),
+                                         txn->snapshot_csn(),
+                                         exec_span.context()));
+          return Status::OK();
+        });
+    if (written.ok()) {
+      const char* path = appended.columnar ? "columnar" : "rows";
+      exec_span.Attr("path", path);
+      exec_span.Attr("rows_appended", static_cast<uint64_t>(appended.rows));
+      out.detail = std::string("INSERT ... SELECT executed entirely on the "
+                               "accelerator (path=") +
+                   path + ")";
+      out.affected_rows = appended.rows;
+      return out;
+    }
+    if (!written.retryable() ||
+        !AccelerationAllowsFailback(session.acceleration)) {
+      return written;
+    }
+    if (PlanHasAot(*bound.select)) return written;
+    // Nothing was appended: re-run the SELECT on the DB2 copies of its
+    // accelerated tables and ship its rows like any DB2-sourced insert.
+    TraceSpan failback_span(tc, "failback");
+    failback_span.Attr("error", written.ToString());
+    metrics_->Increment(metric::kFederationFailbacks);
+    out.failed_back = true;
+    source = Target::kDb2;
+  }
+
+  IDAA_ASSIGN_OR_RETURN(
+      std::vector<Row> rows,
+      InsertSourceRows(stmt, bound, &source, session, txn, tc, &out));
+
+  if (target_aot) {
+    if (source == Target::kDb2) {
       // Data produced in DB2 must cross the boundary once.
       IDAA_ASSIGN_OR_RETURN(rows,
                             SendRowsRetry(rows, session, tc, &out.retries));
       out.detail = "INSERT into AOT from DB2 source (one boundary crossing)";
-    } else if (!bound.select) {
-      IDAA_ASSIGN_OR_RETURN(rows,
-                            SendRowsRetry(rows, session, tc, &out.retries));
-      out.detail = "INSERT VALUES into AOT";
-    } else if (cross_accelerator) {
+    } else {
       // Source and target live on different accelerators: the rows come
       // back to DB2 and go out again (two boundary crossings).
       ResultSet shipped(Schema{}, std::move(rows));
@@ -458,47 +535,37 @@ Result<ExecResult> FederationEngine::ExecuteInsert(
           rows, SendRowsRetry(fetched.rows(), session, tc, &out.retries));
       out.detail = "INSERT ... SELECT across accelerators (two boundary "
                    "crossings)";
-    } else {
-      // Fully accelerator-side: no data movement at all — the paper's ELT
-      // optimization.
-      IDAA_RETURN_IF_ERROR(
-          SendStatementRetry(stmt.ToSql(), session, tc, &out.retries));
-      out.detail = "INSERT ... SELECT executed entirely on the accelerator";
     }
-    RetryOutcome loaded =
-        RetryWithBackoff(PolicyFor(session), tc, [&]() -> Status {
-          return target_accel->LoadRows(target.name, rows, txn->id());
-        });
-    out.retries += loaded.retries;
-    if (loaded.retries > 0) {
-      metrics_->Add(metric::kFederationRetries, loaded.retries);
-    }
-    if (loaded.status.ok()) {
-      health_.RecordSuccess(target_accel->name());
-      RecordShardHealth(target_accel->name(), /*success=*/true);
-    } else if (loaded.status.retryable()) {
-      health_.RecordFailure(target_accel->name());
-      RecordShardHealth(target_accel->name(), /*success=*/false);
-      // AOT writes have no DB2 fallback: surface a clear error.
-      return NoFailbackError(loaded.status,
-                             "accelerator-only tables have no DB2 copy and "
-                             "cannot fail back");
-    }
-    IDAA_RETURN_IF_ERROR(loaded.status);
-    out.affected_rows = rows.size();
+    IDAA_ASSIGN_OR_RETURN(
+        accel::ColumnarRows staged,
+        accel::RowsToColumnar(rows, bound.column_mapping, target.schema));
+    IDAA_RETURN_IF_ERROR(AotWriteWithRetry(
+        target_accel, session, tc, &out.retries, [&]() -> Status {
+          return target_accel->LoadColumnar(target.name, staged, txn->id());
+        }));
+    out.affected_rows = staged.num_rows;
     return out;
   }
 
   // Regular DB2 target.
-  if (source_target == Target::kAccelerator) {
+  if (source == Target::kAccelerator) {
     // Legacy materialization path: accelerator result lands in DB2 (and is
     // re-replicated if the target is an accelerated table).
     ResultSet shipped(Schema{}, std::move(rows));
     IDAA_ASSIGN_OR_RETURN(ResultSet fetched,
                           FetchResultRetry(shipped, session, tc,
                                            &out.retries));
-    rows = fetched.rows();
+    rows = std::move(fetched.mutable_rows());
     out.detail = "accelerator result materialized into DB2 table";
+  }
+  // Widen each source row to the target's columns (unmapped ones NULL).
+  const size_t width = target.schema.NumColumns();
+  for (Row& row : rows) {
+    Row full(width);
+    for (size_t i = 0; i < bound.column_mapping.size(); ++i) {
+      full[bound.column_mapping[i]] = std::move(row[i]);
+    }
+    row = std::move(full);
   }
   IDAA_ASSIGN_OR_RETURN(out.affected_rows,
                         db2_->InsertRows(target, std::move(rows), txn));
@@ -987,10 +1054,13 @@ Result<ExecResult> FederationEngine::ExecuteCall(const sql::CallStatement& stmt,
 Result<ExecResult> FederationEngine::ExecuteExplain(
     const sql::ExplainStatement& stmt, const Session& session,
     Transaction* txn) {
-  // EXPLAIN needs the same read privileges as the query itself.
-  for (const std::string& table : sql::ReferencedTables(*stmt.select)) {
-    IDAA_RETURN_IF_ERROR(
-        Authorize(session, table, Privilege::kSelect, "EXPLAIN"));
+  // EXPLAIN needs the same read privileges as the query itself (an
+  // explained INSERT authorizes itself when it runs).
+  if (stmt.select) {
+    for (const std::string& table : sql::ReferencedTables(*stmt.select)) {
+      IDAA_RETURN_IF_ERROR(
+          Authorize(session, table, Privilege::kSelect, "EXPLAIN"));
+    }
   }
   if (stmt.analyze) {
     // EXPLAIN ANALYZE: run the statement under a fresh trace and report the
@@ -1000,8 +1070,12 @@ Result<ExecResult> FederationEngine::ExecuteExplain(
     TraceSpan root(&qt, "statement");
     IDAA_ASSIGN_OR_RETURN(
         ExecResult executed,
-        ExecuteSelect(*stmt.select, session, txn, root.context()));
-    root.Attr("rows", static_cast<uint64_t>(executed.result_set.NumRows()));
+        stmt.insert ? ExecuteInsert(*stmt.insert, session, txn, root.context())
+                    : ExecuteSelect(*stmt.select, session, txn,
+                                    root.context()));
+    root.Attr("rows", static_cast<uint64_t>(stmt.insert
+                                                ? executed.affected_rows
+                                                : executed.result_set.NumRows()));
     root.Attr("boundary_bytes", qt.boundary_bytes());
     root.End();
 

@@ -270,10 +270,24 @@ class FederationEngine {
   Status Authorize(const Session& session, const std::string& object,
                    governance::Privilege privilege, const std::string& action);
 
-  /// Map source-result rows into full-width target rows per column_mapping.
-  static std::vector<Row> MapRows(const std::vector<Row>& source,
-                                  const std::vector<size_t>& mapping,
-                                  size_t target_width);
+  /// One write to an accelerator-only table under the retry policy, with
+  /// breaker accounting; an exhausted retryable failure becomes the
+  /// "cannot fail back" error. Accumulates retries into *retries.
+  Status AotWriteWithRetry(accel::Accelerator* target_accel,
+                           const Session& session, TraceContext tc,
+                           uint32_t* retries,
+                           const std::function<Status()>& attempt);
+
+  /// Rows of an INSERT's source SELECT, run where `*source` says: on the
+  /// accelerator with the full fault-tolerance treatment (failing back to
+  /// DB2, and updating *source and out->failed_back, when the session
+  /// allows it), else on DB2.
+  Result<std::vector<Row>> InsertSourceRows(const sql::InsertStatement& stmt,
+                                            const sql::BoundInsert& bound,
+                                            Target* source,
+                                            const Session& session,
+                                            Transaction* txn, TraceContext tc,
+                                            ExecResult* out);
 
   Catalog* catalog_;
   db2::Db2Engine* db2_;

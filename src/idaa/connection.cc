@@ -192,6 +192,12 @@ std::vector<std::string> Connection::WrittenTables(const sql::Statement& stmt) {
     case sql::StatementKind::kInsert:
       return {Catalog::NormalizeName(
           static_cast<const sql::InsertStatement&>(stmt).table_name)};
+    case sql::StatementKind::kExplain: {
+      // EXPLAIN ANALYZE INSERT ... SELECT really inserts.
+      const auto& explain = static_cast<const sql::ExplainStatement&>(stmt);
+      if (explain.insert) return WrittenTables(*explain.insert);
+      return {};
+    }
     case sql::StatementKind::kUpdate:
       return {Catalog::NormalizeName(
           static_cast<const sql::UpdateStatement&>(stmt).table_name)};

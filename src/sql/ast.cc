@@ -323,7 +323,8 @@ std::string RevokeStatement::ToSql() const {
 }
 
 std::string ExplainStatement::ToSql() const {
-  return (analyze ? "EXPLAIN ANALYZE " : "EXPLAIN ") + select->ToSql();
+  return (analyze ? "EXPLAIN ANALYZE " : "EXPLAIN ") +
+         (insert ? insert->ToSql() : select->ToSql());
 }
 
 const char* StatementKindToString(StatementKind kind) {

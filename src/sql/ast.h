@@ -256,6 +256,9 @@ struct RevokeStatement : Statement {
 /// stage tree (per-stage timings, row counts, boundary bytes).
 struct ExplainStatement : Statement {
   std::unique_ptr<SelectStatement> select;
+  /// EXPLAIN ANALYZE INSERT ... SELECT: the statement run and reported
+  /// (`select` is then null).
+  std::unique_ptr<InsertStatement> insert;
   bool analyze = false;
 
   StatementKind kind() const override { return StatementKind::kExplain; }

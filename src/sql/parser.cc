@@ -104,7 +104,18 @@ class Parser {
     if (AcceptKeyword("EXPLAIN")) {
       auto stmt = std::make_unique<ExplainStatement>();
       stmt->analyze = AcceptKeyword("ANALYZE");
-      if (!CheckKeyword("SELECT")) return Err("EXPLAIN supports SELECT only");
+      if (stmt->analyze && CheckKeyword("INSERT")) {
+        IDAA_ASSIGN_OR_RETURN(StatementPtr insert, ParseInsert());
+        stmt->insert.reset(static_cast<InsertStatement*>(insert.release()));
+        if (!stmt->insert->select) {
+          return Err("EXPLAIN ANALYZE INSERT requires INSERT ... SELECT");
+        }
+        return StatementPtr(std::move(stmt));
+      }
+      if (!CheckKeyword("SELECT")) {
+        return Err(
+            "EXPLAIN supports SELECT (and EXPLAIN ANALYZE INSERT ... SELECT)");
+      }
       IDAA_ASSIGN_OR_RETURN(stmt->select, ParseSelect());
       return StatementPtr(std::move(stmt));
     }

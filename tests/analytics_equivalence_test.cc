@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -675,10 +677,26 @@ TEST_F(AnalyticsEquivalenceTest, SummarizeMatchesSerial) {
     EXPECT_EQ(Col(summary, r, "DISTINCT").AsInteger(),
               oracle.At(0, 2).AsInteger())
         << column;
-    EXPECT_EQ(Col(summary, r, "MIN").AsVarchar(), oracle.At(0, 3).ToString())
-        << column;
-    EXPECT_EQ(Col(summary, r, "MAX").AsVarchar(), oracle.At(0, 4).ToString())
-        << column;
+    // MIN/MAX render round-trip exact: parsed back into the column's type
+    // they equal DB2's MIN/MAX bit for bit.
+    for (const auto& [name, k] : {std::pair<const char*, size_t>{"MIN", 3},
+                                  std::pair<const char*, size_t>{"MAX", 4}}) {
+      const Value& expected = oracle.At(0, k);
+      auto type = expected.Type();
+      ASSERT_TRUE(type.ok()) << column << " " << name;
+      auto parsed =
+          Value::Varchar(Col(summary, r, name).AsVarchar()).CastTo(*type);
+      ASSERT_TRUE(parsed.ok()) << column << " " << name << ": "
+                               << parsed.status().ToString();
+      if (expected.is_double()) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(parsed->AsDouble()),
+                  std::bit_cast<uint64_t>(expected.AsDouble()))
+            << column << " " << name << ": "
+            << Col(summary, r, name).AsVarchar();
+      } else {
+        EXPECT_EQ(*parsed, expected) << column << " " << name;
+      }
+    }
     if (numeric) {
       ExpectNear(Col(summary, r, "MEAN").AsDouble(),
                  oracle.At(0, 5).AsDouble(), column + " mean");

@@ -99,42 +99,42 @@ TEST(OlsKernelTest, FewerRowsThanParamsFails) {
 
 TEST(NaiveBayesKernelTest, ClassifiesSeparatedClasses) {
   std::vector<std::vector<double>> x;
-  std::vector<std::string> labels;
+  std::vector<Value> labels;
   Rng rng(4);
   for (int i = 0; i < 200; ++i) {
     if (i % 2) {
       x.push_back({rng.Gaussian(0, 1)});
-      labels.push_back("low");
+      labels.push_back(Value::Varchar("low"));
     } else {
       x.push_back({rng.Gaussian(20, 1)});
-      labels.push_back("high");
+      labels.push_back(Value::Varchar("high"));
     }
   }
   auto model = GaussianNbModel::Fit(x, labels, /*pool=*/nullptr);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(model->Predict({0.5}), "low");
-  EXPECT_EQ(model->Predict({19.5}), "high");
-  EXPECT_NEAR(model->priors().at("low"), 0.5, 1e-9);
+  EXPECT_EQ(model->Predict({0.5}), Value::Varchar("low"));
+  EXPECT_EQ(model->Predict({19.5}), Value::Varchar("high"));
+  EXPECT_NEAR(model->priors().at(Value::Varchar("low")), 0.5, 1e-9);
 }
 
 TEST(DecisionTreeKernelTest, LearnsAxisAlignedSplit) {
   std::vector<std::vector<double>> x;
-  std::vector<std::string> labels;
+  std::vector<Value> labels;
   for (int i = 0; i < 100; ++i) {
     double v = i / 100.0;
     x.push_back({v});
-    labels.push_back(v < 0.5 ? "left" : "right");
+    labels.push_back(Value::Varchar(v < 0.5 ? "left" : "right"));
   }
   auto model = DecisionTreeModel::Fit(x, labels, 3, 2);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(model->Predict({0.1}), "left");
-  EXPECT_EQ(model->Predict({0.9}), "right");
+  EXPECT_EQ(model->Predict({0.1}), Value::Varchar("left"));
+  EXPECT_EQ(model->Predict({0.9}), Value::Varchar("right"));
   EXPECT_LE(model->Depth(), 3u);
 }
 
 TEST(DecisionTreeKernelTest, PureInputIsSingleLeaf) {
   std::vector<std::vector<double>> x = {{1.0}, {2.0}, {3.0}};
-  std::vector<std::string> labels = {"same", "same", "same"};
+  std::vector<Value> labels(3, Value::Varchar("same"));
   auto model = DecisionTreeModel::Fit(x, labels, 5, 1);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->NumNodes(), 1u);
@@ -370,6 +370,76 @@ TEST_F(OperatorTest, InputMustBeOnAccelerator) {
       "CALL IDAA.SAMPLE('input=db2only', 'output=out', 'fraction=0.5')");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("ACCEL_ADD_TABLES"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Typed keys: tids, categories and labels are keyed by storage equality, so
+// doubles that share a %.6g rendering stay distinct.
+// ---------------------------------------------------------------------------
+
+TEST_F(OperatorTest, AprioriKeysDoubleTidsByValue) {
+  ASSERT_TRUE(system_
+                  .Execute("CREATE TABLE dbasket (tid DOUBLE, item VARCHAR) "
+                           "IN ACCELERATOR")
+                  .ok());
+  ASSERT_TRUE(system_
+                  .Execute("INSERT INTO dbasket VALUES (1000001, 'A'), "
+                           "(1000002, 'B'), (1000003, 'C')")
+                  .ok());
+  // Three one-item transactions: every item has support 1/3, so nothing
+  // reaches 0.5.
+  auto none = system_.Query(
+      "CALL IDAA.APRIORI('input=dbasket', 'tid_column=tid', "
+      "'item_column=item', 'min_support=0.5')");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->NumRows(), 0u) << none->ToString();
+  auto singles = system_.Query(
+      "CALL IDAA.APRIORI('input=dbasket', 'tid_column=tid', "
+      "'item_column=item', 'min_support=0.3', 'output=dsets')");
+  ASSERT_TRUE(singles.ok()) << singles.status().ToString();
+  auto sets =
+      system_.Query("SELECT itemset, size, support FROM dsets ORDER BY itemset");
+  ASSERT_TRUE(sets.ok()) << sets.status().ToString();
+  ASSERT_EQ(sets->NumRows(), 3u) << sets->ToString();
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(sets->At(r, 1).AsInteger(), 1);
+    EXPECT_DOUBLE_EQ(sets->At(r, 2).AsDouble(), 1.0 / 3.0);
+  }
+}
+
+TEST_F(OperatorTest, OneHotAndNaiveBayesKeyDoublesByValue) {
+  ASSERT_TRUE(system_
+                  .Execute("CREATE TABLE dcat (x DOUBLE, code DOUBLE) "
+                           "IN ACCELERATOR")
+                  .ok());
+  ASSERT_TRUE(system_
+                  .Execute("INSERT INTO dcat VALUES (0.5, 1000001), "
+                           "(0.6, 1000001), (9.5, 1000002), (9.6, 1000002)")
+                  .ok());
+  auto onehot = system_.Query(
+      "CALL IDAA.ONEHOT('input=dcat', 'output=dcat_hot', 'column=code')");
+  ASSERT_TRUE(onehot.ok()) << onehot.status().ToString();
+  auto hot = system_.Query(
+      "SELECT code_1000001, code_1000002 FROM dcat_hot ORDER BY x");
+  ASSERT_TRUE(hot.ok()) << hot.status().ToString();
+  ASSERT_EQ(hot->NumRows(), 4u);
+  EXPECT_EQ(hot->At(0, 0).AsInteger(), 1);
+  EXPECT_EQ(hot->At(0, 1).AsInteger(), 0);
+  EXPECT_EQ(hot->At(3, 0).AsInteger(), 0);
+  EXPECT_EQ(hot->At(3, 1).AsInteger(), 1);
+
+  auto nb = system_.Query(
+      "CALL IDAA.NAIVEBAYES('input=dcat', 'label=code', 'columns=x')");
+  ASSERT_TRUE(nb.ok()) << nb.status().ToString();
+  std::vector<std::string> priors;
+  for (const Row& row : nb->rows()) {
+    if (row[0].AsVarchar().rfind("PRIOR_", 0) == 0) {
+      priors.push_back(row[0].AsVarchar());
+      EXPECT_DOUBLE_EQ(row[1].AsDouble(), 0.5);
+    }
+  }
+  EXPECT_EQ(priors, (std::vector<std::string>{"PRIOR_1000001",
+                                               "PRIOR_1000002"}));
 }
 
 // ---------------------------------------------------------------------------
