@@ -415,15 +415,37 @@ Status ApplyFilters(const std::vector<const sql::BoundExpr*>& filters,
   return Status::OK();
 }
 
+/// Late-materialize `b`'s selected rows into `rows`: one full-width Row
+/// per selected row, holding the columns with mask[c] set (every column
+/// when `mask` is null) and NULL elsewhere. Cursors keep the reads
+/// amortized O(1) per element over encoded zones (sel is ascending).
+void MaterializeRows(const ColumnBatch& b, const std::vector<uint8_t>* mask,
+                     std::vector<Row>* rows) {
+  const size_t width = b.columns->size();
+  std::vector<ColumnCursor> cursors;
+  cursors.reserve(width);
+  for (size_t c = 0; c < width; ++c) cursors.emplace_back(*(*b.columns)[c]);
+  rows->reserve(rows->size() + b.sel_count);
+  for (size_t k = 0; k < b.sel_count; ++k) {
+    const size_t i = b.AbsoluteRow(k);
+    Row row(width);
+    for (size_t c = 0; c < width; ++c) {
+      if (mask == nullptr || (*mask)[c]) row[c] = cursors[c].Get(i);
+    }
+    rows->push_back(std::move(row));
+  }
+}
+
 /// The columnar INSERT ... SELECT leg of the morsel scan: a single-table
 /// plan without aggregation, DISTINCT, ORDER BY or LIMIT writes each
 /// morsel's survivors into one ColumnarRows in the target's layout. Bare
-/// columns are copied by a typed gather under the data lock, together with
-/// scratch rows holding only the inputs of the residual, the WHERE and the
-/// expression items; after the lock is released the filters run on the
-/// scratch rows, the gathered columns are compacted to the survivors and
-/// the expression items are evaluated. Returns the batches in morsel
-/// order, or the first failing morsel's error.
+/// columns of the target's type are copied by a typed gather under the
+/// data lock, together with scratch rows holding only the inputs of the
+/// residual, the WHERE and the expression items (casts included); after
+/// the lock is released the filters run on the scratch rows, the gathered
+/// columns are compacted to the survivors and the expression items are
+/// evaluated and cast. Returns the batches in morsel order, or the first
+/// failing morsel's error.
 Result<std::vector<ColumnarRows>> ParallelScanInto(
     const ColumnTable& table, const sql::BoundSelect& plan,
     const InsertLayout& layout, TxnId reader, Csn snapshot,
@@ -444,7 +466,6 @@ Result<std::vector<ColumnarRows>> ParallelScanInto(
       layout.has_exprs || bp.residual != nullptr || plan.where != nullptr;
 
   struct MorselOut {
-    Status status;  ///< a failed cast in the gather
     ColumnarRows rows;
     std::vector<Row> scratch;
     size_t count = 0;
@@ -453,35 +474,18 @@ Result<std::vector<ColumnarRows>> ParallelScanInto(
   for (MorselOut& out : outs) out.rows.columns.resize(layout.targets.size());
   auto consume = [&](size_t mi, const ColumnBatch& b) {
     MorselOut& out = outs[mi];
-    if (!out.status.ok()) return;
     auto row_at = [&b](size_t k) { return b.AbsoluteRow(k); };
     for (size_t c = 0; c < layout.targets.size(); ++c) {
       const InsertLayout::Target& t = layout.targets[c];
       if (t.source != InsertLayout::Target::Source::kColumn) continue;
       ColumnCursor cur(*(*b.columns)[t.column]);
-      out.status = GatherCells(cur, b.sel_count, row_at, t.type,
-                               &out.rows.columns[c]);
-      if (!out.status.ok()) return;
+      GatherCells(cur, b.sel_count, row_at, &out.rows.columns[c]);
     }
-    if (need_scratch) {
-      std::vector<ColumnCursor> cursors;
-      cursors.reserve(width);
-      for (size_t c = 0; c < width; ++c) cursors.emplace_back(*(*b.columns)[c]);
-      out.scratch.reserve(out.scratch.size() + b.sel_count);
-      for (size_t k = 0; k < b.sel_count; ++k) {
-        const size_t i = b.AbsoluteRow(k);
-        Row row(width);
-        for (size_t c = 0; c < width; ++c) {
-          if (scratch_cols[c]) row[c] = cursors[c].Get(i);
-        }
-        out.scratch.push_back(std::move(row));
-      }
-    }
+    if (need_scratch) MaterializeRows(b, &scratch_cols, &out.scratch);
     out.count += b.sel_count;
   };
   auto finish = [&](size_t mi, size_t* kept, uint64_t* rejected) -> Status {
     MorselOut& out = outs[mi];
-    IDAA_RETURN_IF_ERROR(out.status);
     size_t n = out.count;
     if (bp.residual != nullptr || plan.where != nullptr) {
       std::vector<uint8_t> keep;
@@ -529,27 +533,10 @@ Result<std::vector<Row>> ParallelScan(
   auto pin = table.PinForScan();
   const BatchScanPlan bp = PrepareBatchScan(table, predicate);
   const std::vector<Morsel> morsels = table.PlanMorsels(batch.morsel_size);
-  const size_t width = table.schema().NumColumns();
 
   std::vector<std::vector<Row>> morsel_rows(morsels.size());
   auto consume = [&](size_t mi, const ColumnBatch& b) {
-    // Cursors keep late materialization amortized-O(1) per element over
-    // encoded zones (sel is ascending).
-    std::vector<ColumnCursor> cursors;
-    cursors.reserve(width);
-    for (size_t c = 0; c < width; ++c) cursors.emplace_back(*(*b.columns)[c]);
-    std::vector<Row>& rows = morsel_rows[mi];
-    rows.reserve(rows.size() + b.sel_count);
-    for (size_t k = 0; k < b.sel_count; ++k) {
-      const size_t i = b.AbsoluteRow(k);
-      Row row(width);
-      for (size_t c = 0; c < width; ++c) {
-        if (projection == nullptr || (*projection)[c]) {
-          row[c] = cursors[c].Get(i);
-        }
-      }
-      rows.push_back(std::move(row));
-    }
+    MaterializeRows(b, projection, &morsel_rows[mi]);
   };
   // Residual step: the full predicate on the materialized rows.
   auto finish = [&](size_t mi, size_t* kept, uint64_t* rejected) -> Status {

@@ -121,10 +121,11 @@ AccelTableResolver Accelerator::resolver() const {
   };
 }
 
-Result<InsertSelectResult> Accelerator::InsertSelect(
-    const std::string& target, const sql::BoundSelect& plan,
-    const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
-    TraceContext tc) {
+Status Accelerator::InsertSelect(const std::string& target,
+                                 const sql::BoundSelect& plan,
+                                 const std::vector<size_t>& column_mapping,
+                                 TxnId txn, Csn snapshot, TraceContext tc,
+                                 InsertSelectResult* out) {
   IDAA_RETURN_IF_ERROR(CheckReady("INSERT"));
   IDAA_ASSIGN_OR_RETURN(ColumnTable * table, GetTable(target));
   const InsertLayout layout =
@@ -133,8 +134,7 @@ Result<InsertSelectResult> Accelerator::InsertSelect(
       std::optional<std::vector<ColumnarRows>> columnar,
       ExecuteAccelSelectInto(plan, layout, resolver(), txn, snapshot, *tm_,
                              &pool_, metrics_, tc, batch_options()));
-  InsertSelectResult out;
-  out.columnar = columnar.has_value();
+  out->columnar = columnar.has_value();
   std::vector<ColumnarRows> batches;
   if (columnar.has_value()) {
     batches = std::move(*columnar);
@@ -148,9 +148,10 @@ Result<InsertSelectResult> Accelerator::InsertSelect(
         RowsToColumnar(rows.rows(), column_mapping, table->schema()));
     batches.push_back(std::move(staged));
   }
+  out->appending = true;
   IDAA_RETURN_IF_ERROR(table->InsertColumnar(batches, txn));
-  for (const ColumnarRows& b : batches) out.rows += b.num_rows;
-  return out;
+  for (const ColumnarRows& b : batches) out->rows += b.num_rows;
+  return Status::OK();
 }
 
 Result<std::optional<std::vector<ColumnarRows>>> Accelerator::SelectInto(

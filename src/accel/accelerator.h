@@ -58,6 +58,11 @@ struct InsertSelectResult {
   /// directly (path=columnar); false: the SELECT produced rows that
   /// RowsToColumnar converted (path=rows).
   bool columnar = false;
+  /// Set once the SELECT's output is complete and the append begins: a
+  /// failure with `appending` set is the append's (a receiving shard's
+  /// readiness check, a constraint violation), one without it the
+  /// SELECT's.
+  bool appending = false;
 };
 
 class Accelerator {
@@ -152,10 +157,13 @@ class Accelerator {
   /// batches in order, so the stored state equals LoadRows of the SELECT's
   /// rows. Faults, evaluation errors and constraint violations all surface
   /// before the first row is appended, so a retry cannot duplicate rows.
-  virtual Result<InsertSelectResult> InsertSelect(
-      const std::string& target, const sql::BoundSelect& plan,
-      const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
-      TraceContext tc = {});
+  /// Fills `*out`, which the caller resets before each call; on failure
+  /// out->appending tells which step failed.
+  virtual Status InsertSelect(const std::string& target,
+                              const sql::BoundSelect& plan,
+                              const std::vector<size_t>& column_mapping,
+                              TxnId txn, Csn snapshot, TraceContext tc,
+                              InsertSelectResult* out);
 
   /// Delegated SELECT under (reader, snapshot) visibility. With a trace
   /// context, slice scans and merges are recorded as spans.

@@ -432,36 +432,35 @@ ColRef ResolveColumn(size_t combined_index, size_t base_width,
 /// through the batch's cursors, dimension columns from the build copies
 /// (kNoRow pads NULL) — and count the rows into `out`. Clears the
 /// positions for the next batch.
-Status GatherJoinBatch(const InsertLayout& layout, size_t base_width,
-                       const std::vector<BuildSide>& dims,
-                       std::vector<ColumnCursor>& base_curs,
-                       std::vector<size_t>* base_pos,
-                       std::vector<std::vector<uint32_t>>* dim_pos,
-                       ColumnarRows* out) {
+void GatherJoinBatch(const InsertLayout& layout, size_t base_width,
+                     const std::vector<BuildSide>& dims,
+                     std::vector<ColumnCursor>& base_curs,
+                     std::vector<size_t>* base_pos,
+                     std::vector<std::vector<uint32_t>>* dim_pos,
+                     ColumnarRows* out) {
   const size_t n = base_pos->size();
   for (size_t c = 0; c < layout.targets.size(); ++c) {
     const InsertLayout::Target& t = layout.targets[c];
     if (t.source != InsertLayout::Target::Source::kColumn) continue;
     const ColRef ref = ResolveColumn(t.column, base_width, dims);
     if (ref.from_base) {
-      IDAA_RETURN_IF_ERROR(GatherCells(
+      GatherCells(
           base_curs[ref.col], n, [&](size_t k) { return (*base_pos)[k]; },
-          t.type, &out->columns[c]));
+          &out->columns[c]);
       continue;
     }
     const std::vector<uint32_t>& rows = (*dim_pos)[ref.dim];
     ColumnCursor cur(*dims[ref.dim].cols[ref.col]);
-    IDAA_RETURN_IF_ERROR(GatherCells(
+    GatherCells(
         cur, n,
         [&](size_t k) {
           return rows[k] == kNoRow ? kPadRow : static_cast<size_t>(rows[k]);
         },
-        t.type, &out->columns[c]));
+        &out->columns[c]);
   }
   out->num_rows += n;
   base_pos->clear();
   for (auto& rows : *dim_pos) rows.clear();
-  return Status::OK();
 }
 
 /// How an aggregate consumes its argument (mirrors BatchAggregate).
@@ -1025,9 +1024,8 @@ Result<bool> RunBatchJoin(const sql::BoundSelect& plan,
             }
           }
           if (layout != nullptr) {
-            wk.status = GatherJoinBatch(*layout, base_width, dims, base_curs,
-                                        &wk.base_pos, &wk.dim_pos,
-                                        &morsel_cols[mi]);
+            GatherJoinBatch(*layout, base_width, dims, base_curs,
+                            &wk.base_pos, &wk.dim_pos, &morsel_cols[mi]);
           }
         },
         zone_filter_ptr);

@@ -151,7 +151,8 @@ InsertLayout MakeInsertLayout(const sql::BoundSelect& plan,
   for (size_t i = 0; i < mapping.size(); ++i) {
     InsertLayout::Target& t = layout.targets[mapping[i]];
     const sql::BoundExpr& expr = *plan.select_exprs[i];
-    if (expr.kind == sql::BoundExprKind::kColumn) {
+    if (expr.kind == sql::BoundExprKind::kColumn &&
+        expr.result_type == t.type) {
       t.source = Source::kColumn;
       t.column = expr.index;
     } else {

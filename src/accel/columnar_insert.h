@@ -71,8 +71,8 @@ struct InsertLayout {
   struct Target {
     enum class Source : uint8_t {
       kNull,    ///< no select item maps here: NULL
-      kColumn,  ///< a bare column of the FROM layout: typed gather
-      kExpr,    ///< any other item: EvalExpr on a scratch row
+      kColumn,  ///< a bare FROM column of the target's type: typed gather
+      kExpr,    ///< any other item: EvalExpr on a scratch row, then a cast
     };
     Source source = Source::kNull;
     DataType type = DataType::kInteger;  ///< the target column's type
@@ -84,7 +84,8 @@ struct InsertLayout {
 };
 
 /// Layout of `plan`'s select items in `target`: item i lands in column
-/// mapping[i].
+/// mapping[i]. A bare column whose type differs from its target column's
+/// is a kExpr item, so its cast runs only on rows the filters kept.
 InsertLayout MakeInsertLayout(const sql::BoundSelect& plan,
                               const std::vector<size_t>& mapping,
                               const Schema& target);
@@ -100,23 +101,15 @@ std::vector<uint8_t> ScratchColumns(
 inline constexpr size_t kPadRow = static_cast<size_t>(-1);
 
 /// Append `src`'s cells at positions row_at(0..n-1) to `out`, a staged
-/// column of `type`: a typed copy when the source column already has that
-/// type, AppendCell of each cell otherwise. kPadRow gathers NULL.
+/// column of `src`'s own type (a kColumn target), by a typed copy. kPadRow
+/// gathers NULL.
 template <typename RowAt>
-Status GatherCells(ColumnCursor& src, size_t n, const RowAt& row_at,
-                   DataType type, ColumnarRows::Col* out) {
-  if (src.type() != type) {
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = row_at(k);
-      IDAA_RETURN_IF_ERROR(
-          AppendCell(i == kPadRow ? Value::Null() : src.Get(i), type, out));
-    }
-    return Status::OK();
-  }
+void GatherCells(ColumnCursor& src, size_t n, const RowAt& row_at,
+                 ColumnarRows::Col* out) {
   const size_t base = out->nulls.size();
   out->nulls.resize(base + n);
   uint8_t* nulls = out->nulls.data() + base;
-  switch (type) {
+  switch (src.type()) {
     case DataType::kDouble: {
       out->doubles.resize(base + n);
       double* dst = out->doubles.data() + base;
@@ -154,7 +147,6 @@ Status GatherCells(ColumnCursor& src, size_t n, const RowAt& row_at,
       }
     }
   }
-  return Status::OK();
 }
 
 /// Evaluate the layout's kExpr items on `scratch` (a combined-layout row

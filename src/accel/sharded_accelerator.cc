@@ -419,10 +419,39 @@ Result<ResultSet> ShardedAccelerator::SelectPinned(
   return ScatterGather(plan, reader, snapshot, tc, route.partitioned_table);
 }
 
-Result<InsertSelectResult> ShardedAccelerator::InsertSelect(
+bool ShardedAccelerator::ConcatScatterEligible(const sql::BoundSelect& plan,
+                                               size_t partitioned_table) {
+  return partitioned_table < plan.tables.size() && !plan.has_aggregation &&
+         plan.order_by.empty() && !plan.limit.has_value() && !plan.distinct;
+}
+
+template <typename T, typename Local>
+Result<std::vector<T>> ShardedAccelerator::ConcatScatter(const Local& local,
+                                                         TraceContext tc) {
+  // Scatter requires every shard: a down shard means a hole in the data.
+  IDAA_RETURN_IF_ERROR(AllShardsOnline("SELECT"));
+  const size_t n = shards_.size();
+  TraceSpan span(tc, "accel.shard_scatter");
+  span.Attr("shards", static_cast<uint64_t>(n));
+  span.Attr("strategy", "concat");
+  std::vector<Result<T>> locals;
+  locals.reserve(n);
+  for (size_t i = 0; i < n; ++i) locals.emplace_back(T{});
+  pool_.ParallelFor(n,
+                    [&](size_t i) { locals[i] = local(i, span.context()); });
+  std::vector<T> out;
+  out.reserve(n);
+  for (Result<T>& l : locals) {
+    IDAA_RETURN_IF_ERROR(l.status());
+    out.push_back(std::move(*l));
+  }
+  return out;
+}
+
+Status ShardedAccelerator::InsertSelect(
     const std::string& target, const sql::BoundSelect& plan,
     const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
-    TraceContext tc) {
+    TraceContext tc, InsertSelectResult* out) {
   using Batches = std::vector<ColumnarRows>;
   IDAA_RETURN_IF_ERROR(CheckReady("INSERT"));
   auto pin = AcquirePin();
@@ -441,34 +470,28 @@ Result<InsertSelectResult> ShardedAccelerator::InsertSelect(
       IDAA_ASSIGN_OR_RETURN(columnar,
                             shards_[*route.shard]->SelectInto(
                                 plan, layout, txn, snapshot, tc));
-    } else if (route.partitioned_table < plan.tables.size()) {
-      IDAA_RETURN_IF_ERROR(AllShardsOnline("SELECT"));
-      const size_t n = shards_.size();
-      std::vector<Result<std::optional<Batches>>> locals;
-      locals.reserve(n);
-      for (size_t i = 0; i < n; ++i) locals.emplace_back(std::optional<Batches>());
-      TraceSpan span(tc, "accel.shard_scatter");
-      span.Attr("shards", static_cast<uint64_t>(n));
-      span.Attr("strategy", "concat");
-      pool_.ParallelFor(n, [&](size_t i) {
-        locals[i] =
-            shards_[i]->SelectInto(plan, layout, txn, snapshot, span.context());
-      });
+    } else if (ConcatScatterEligible(plan, route.partitioned_table)) {
+      IDAA_ASSIGN_OR_RETURN(
+          std::vector<std::optional<Batches>> locals,
+          ConcatScatter<std::optional<Batches>>(
+              [&](size_t i, TraceContext shard_tc) {
+                return shards_[i]->SelectInto(plan, layout, txn, snapshot,
+                                              shard_tc);
+              },
+              tc));
       Batches all;
       bool declined = false;
-      for (auto& local : locals) {
-        IDAA_RETURN_IF_ERROR(local.status());
-        if (!local->has_value()) {
+      for (std::optional<Batches>& local : locals) {
+        if (!local.has_value()) {
           declined = true;
           continue;
         }
-        for (ColumnarRows& b : **local) all.push_back(std::move(b));
+        for (ColumnarRows& b : *local) all.push_back(std::move(b));
       }
       if (!declined) columnar = std::move(all);
     }
   }
-  InsertSelectResult out;
-  out.columnar = columnar.has_value();
+  out->columnar = columnar.has_value();
   Batches batches;
   if (columnar.has_value()) {
     batches = std::move(*columnar);
@@ -479,14 +502,29 @@ Result<InsertSelectResult> ShardedAccelerator::InsertSelect(
                           RowsToColumnar(rows.rows(), column_mapping, schema));
     batches.push_back(std::move(staged));
   }
+  out->appending = true;
   IDAA_RETURN_IF_ERROR(AppendColumnar(target, batches, "INSERT", txn));
-  for (const ColumnarRows& b : batches) out.rows += b.num_rows;
-  return out;
+  for (const ColumnarRows& b : batches) out->rows += b.num_rows;
+  return Status::OK();
 }
 
 Result<ResultSet> ShardedAccelerator::ScatterGather(
     const sql::BoundSelect& plan, TxnId reader, Csn snapshot, TraceContext tc,
     size_t partitioned_table) {
+  if (ConcatScatterEligible(plan, partitioned_table)) {
+    IDAA_ASSIGN_OR_RETURN(std::vector<ResultSet> locals,
+                          ConcatScatter<ResultSet>(
+                              [&](size_t i, TraceContext shard_tc) {
+                                return shards_[i]->ExecuteSelect(
+                                    plan, reader, snapshot, shard_tc);
+                              },
+                              tc));
+    ResultSet out(locals[0].schema());
+    for (ResultSet& local : locals) {
+      for (Row& row : local.mutable_rows()) out.Append(std::move(row));
+    }
+    return out;
+  }
   // Scatter requires every shard: a down shard means a hole in the data.
   IDAA_RETURN_IF_ERROR(AllShardsOnline("SELECT"));
   const size_t n = shards_.size();
@@ -527,28 +565,6 @@ Result<ResultSet> ShardedAccelerator::ScatterGather(
                             MergeAggPartials(plan, &shard_partials));
       return exec::FinalizeSelect(plan, std::move(post));
     }
-  }
-
-  // Concat scatter: with exactly one partitioned table the plan
-  // distributes over the union of its partitions (joins against broadcast
-  // copies are local), so each shard runs the full local plan and the
-  // results concatenate shard-major. Any global operator (aggregation,
-  // ORDER BY, LIMIT, DISTINCT) disqualifies plain concatenation.
-  if (!plan.has_aggregation && single_partitioned && plan.order_by.empty() &&
-      !plan.limit.has_value() && !plan.distinct) {
-    std::vector<Result<ResultSet>> locals;
-    locals.reserve(n);
-    for (size_t i = 0; i < n; ++i) locals.emplace_back(ResultSet());
-    pool_.ParallelFor(n, [&](size_t i) {
-      locals[i] = shards_[i]->ExecuteSelect(plan, reader, snapshot, tc);
-    });
-    for (const auto& l : locals) IDAA_RETURN_IF_ERROR(l.status());
-    span.Attr("strategy", "concat");
-    ResultSet out(locals[0]->schema());
-    for (auto& l : locals) {
-      for (Row& row : l->mutable_rows()) out.Append(std::move(row));
-    }
-    return out;
   }
 
   // Row-gather fallback, correct for every remaining shape (including

@@ -128,10 +128,10 @@ class ShardedAccelerator : public Accelerator {
   /// the columnar leg on the broadcast-delegate, shard-pruned and concat
   /// routes (shard-major batch order, as concat orders rows), the rows leg
   /// otherwise — then appends the batches through AppendColumnar.
-  Result<InsertSelectResult> InsertSelect(
-      const std::string& target, const sql::BoundSelect& plan,
-      const std::vector<size_t>& column_mapping, TxnId txn, Csn snapshot,
-      TraceContext tc = {}) override;
+  Status InsertSelect(const std::string& target, const sql::BoundSelect& plan,
+                      const std::vector<size_t>& column_mapping, TxnId txn,
+                      Csn snapshot, TraceContext tc,
+                      InsertSelectResult* out) override;
   Result<size_t> ExecuteUpdate(const sql::BoundUpdate& plan, TxnId txn,
                                Csn snapshot) override;
   Result<size_t> ExecuteDelete(const sql::BoundDelete& plan, TxnId txn,
@@ -183,6 +183,22 @@ class ShardedAccelerator : public Accelerator {
   Status AppendColumnar(const std::string& name,
                         std::span<const ColumnarRows> batches, const char* op,
                         TxnId txn);
+
+  /// The concat scatter's shape: exactly one partitioned table and no
+  /// global operator (aggregation, ORDER BY, LIMIT, DISTINCT), so the plan
+  /// distributes over the union of that table's partitions (joins against
+  /// broadcast copies are local) and the shards' local results
+  /// concatenate shard-major.
+  static bool ConcatScatterEligible(const sql::BoundSelect& plan,
+                                    size_t partitioned_table);
+
+  /// The concat scatter: with every shard Online, runs `local(i, tc)` (the
+  /// full local plan on shard i) on all shards in parallel under an
+  /// accel.shard_scatter span (strategy=concat) and returns the results in
+  /// shard order, or the first failing shard's error. Callers hold a
+  /// topology pin.
+  template <typename T, typename Local>
+  Result<std::vector<T>> ConcatScatter(const Local& local, TraceContext tc);
 
   /// ExecuteSelect's body; callers hold a topology pin.
   Result<ResultSet> SelectPinned(const sql::BoundSelect& plan, TxnId reader,

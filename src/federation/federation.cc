@@ -472,39 +472,42 @@ Result<ExecResult> FederationEngine::ExecuteInsert(
     // accelerator — the paper's ELT optimization. InsertSelect appends
     // nothing unless it succeeds, so the attempt can be retried whole.
     const std::string& name = target_accel->name();
-    if (!health_.AllowRequest(name)) {
-      return Status::Unavailable("INSERT rejected: accelerator " + name +
-                                 " circuit breaker is open");
-    }
-    metrics_->Increment(metric::kQueriesRoutedToAccel);
-    TraceSpan exec_span(tc, "accel.insert_select");
     accel::InsertSelectResult appended;
-    Status written = AotWriteWithRetry(
-        target_accel, session, tc, &out.retries, [&]() -> Status {
-          IDAA_RETURN_IF_ERROR(channel_->SendStatement(stmt.ToSql(), tc));
-          IDAA_ASSIGN_OR_RETURN(
-              appended,
-              target_accel->InsertSelect(target.name, *bound.select,
-                                         bound.column_mapping, txn->id(),
-                                         txn->snapshot_csn(),
-                                         exec_span.context()));
-          return Status::OK();
-        });
-    if (written.ok()) {
-      const char* path = appended.columnar ? "columnar" : "rows";
-      exec_span.Attr("path", path);
-      exec_span.Attr("rows_appended", static_cast<uint64_t>(appended.rows));
-      out.detail = std::string("INSERT ... SELECT executed entirely on the "
-                               "accelerator (path=") +
-                   path + ")";
-      out.affected_rows = appended.rows;
-      return out;
+    Status written;
+    if (!health_.AllowRequest(name)) {
+      written = Status::Unavailable("INSERT rejected: accelerator " + name +
+                                    " circuit breaker is open");
+    } else {
+      metrics_->Increment(metric::kQueriesRoutedToAccel);
+      TraceSpan exec_span(tc, "accel.insert_select");
+      written = AotWriteWithRetry(
+          target_accel, session, tc, &out.retries, [&]() -> Status {
+            appended = {};
+            IDAA_RETURN_IF_ERROR(channel_->SendStatement(stmt.ToSql(), tc));
+            return target_accel->InsertSelect(
+                target.name, *bound.select, bound.column_mapping, txn->id(),
+                txn->snapshot_csn(), exec_span.context(), &appended);
+          });
+      if (written.ok()) {
+        const char* path = appended.columnar ? "columnar" : "rows";
+        exec_span.Attr("path", path);
+        exec_span.Attr("rows_appended", static_cast<uint64_t>(appended.rows));
+        out.detail = std::string("INSERT ... SELECT executed entirely on "
+                                 "the accelerator (path=") +
+                     path + ")";
+        out.affected_rows = appended.rows;
+        return out;
+      }
     }
-    if (!written.retryable() ||
-        !AccelerationAllowsFailback(session.acceleration)) {
+    // Only a SELECT that could not run (an open breaker, a fault before
+    // the append) over tables with DB2 copies may fail back. A failed
+    // append does not: the target is an AOT, which has no DB2 copy, so
+    // failing back would only send the rows to the same accelerator.
+    if (!written.retryable() || appended.appending ||
+        !AccelerationAllowsFailback(session.acceleration) ||
+        PlanHasAot(*bound.select)) {
       return written;
     }
-    if (PlanHasAot(*bound.select)) return written;
     // Nothing was appended: re-run the SELECT on the DB2 copies of its
     // accelerated tables and ship its rows like any DB2-sourced insert.
     TraceSpan failback_span(tc, "failback");

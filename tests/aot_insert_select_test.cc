@@ -267,6 +267,37 @@ TEST_P(AotInsertSelectTest, CastsIntoEveryTargetType) {
                    "columnar");
 }
 
+TEST_P(AotInsertSelectTest, CastsRunOnlyOnRowsTheFiltersKeep) {
+  // Every fourth code and every fifth day cannot be cast to the target
+  // type; the residual predicate or WHERE drops exactly those rows, so the
+  // statement must succeed on both engines.
+  Exec("CREATE TABLE codes (id INT NOT NULL, grp INT, code VARCHAR, "
+       "day VARCHAR) DISTRIBUTE BY (id)");
+  std::string values;
+  for (int i = 0; i < 48; ++i) {
+    values += StrFormat(
+        "%s(%d, %d, '%s', '%s')", values.empty() ? "" : ", ", i, i % 4,
+        i % 4 == 0 ? StrFormat("x%d", i).c_str()
+                   : std::to_string(i * 7).c_str(),
+        i % 5 == 0 ? "bad" : StrFormat("2021-03-%02d", 1 + i % 28).c_str());
+  }
+  Exec("INSERT INTO codes VALUES " + values);
+  Exec("CALL SYSPROC.ACCEL_ADD_TABLES('codes')");
+  ExpectMatchesDb2("(id INT, n INT, d DOUBLE)",
+                   "INSERT INTO tgt SELECT id, code, code FROM codes "
+                   "WHERE code NOT LIKE 'x%'",
+                   "columnar");
+  ExpectMatchesDb2("(id INT, dt DATE)",
+                   "INSERT INTO tgt SELECT id, day FROM codes "
+                   "WHERE day NOT LIKE 'b%'",
+                   "columnar");
+  ExpectMatchesDb2("(id INT, n INT, label VARCHAR)",
+                   "INSERT INTO tgt SELECT c.id, c.code, d.label "
+                   "FROM codes c JOIN dim d ON c.grp = d.k "
+                   "WHERE c.code NOT LIKE 'x%' OR d.label = 'none'",
+                   "columnar");
+}
+
 TEST_P(AotInsertSelectTest, ColumnListLeavesUnmappedColumnsNull) {
   ExpectMatchesDb2("(a INT, b VARCHAR, c DOUBLE)",
                    "INSERT INTO tgt (b, a) SELECT region, id FROM src",

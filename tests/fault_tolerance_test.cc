@@ -432,6 +432,116 @@ TEST_F(FaultToleranceTest, BreakerTripsAfterConsecutiveFailuresAndRecovers) {
             BreakerState::kClosed);
 }
 
+TEST_F(FaultToleranceTest, AotInsertSelectFailsBackWhileBreakerIsOpen) {
+  IdaaSystem system;
+  SeedAccelerated(system);
+  FastRetries(system, /*max_attempts=*/1);
+  system.federation().health().set_cooldown_us(60'000'000);
+  ASSERT_TRUE(
+      system.Execute("CREATE TABLE stage (id INT, v INT) IN ACCELERATOR")
+          .ok());
+  FaultSpec spec;
+  spec.probability = 1.0;
+  system.fault_injector().Arm(FaultInjector::AcceleratorSite("ACCEL1"), spec);
+  ExecOptions eligible;
+  eligible.acceleration = AccelerationMode::kEligible;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(system.Execute("SELECT COUNT(*) FROM t", eligible).ok());
+  }
+  system.fault_injector().Disarm(FaultInjector::AcceleratorSite("ACCEL1"));
+  ASSERT_EQ(system.federation().health().state("ACCEL1"),
+            BreakerState::kOpen);
+
+  // Without failback the open breaker rejects the statement.
+  auto rejected =
+      system.Execute("INSERT INTO stage SELECT id, v FROM t", eligible);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().retryable());
+  EXPECT_NE(rejected.status().message().find("circuit breaker is open"),
+            std::string::npos);
+
+  // With failback the SELECT runs on DB2 and its rows are shipped to the
+  // AOT, as for a SELECT that could not run on the accelerator.
+  ExecOptions failback;
+  failback.acceleration = AccelerationMode::kEnableWithFailback;
+  auto inserted =
+      system.Execute("INSERT INTO stage SELECT id, v FROM t", failback);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_TRUE(inserted->failed_back);
+  EXPECT_EQ(inserted->rows_affected, 40u);
+
+  system.federation().health().set_cooldown_us(0);
+  auto count = system.Execute("SELECT COUNT(*), SUM(v) FROM stage", eligible);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows.At(0, 0).AsInteger(), 40);
+  EXPECT_EQ(count->rows.At(0, 1).AsInteger(), 3 * (39 * 40 / 2));
+}
+
+TEST_F(FaultToleranceTest, AotInsertSelectFailsBackWhenSelectCannotRun) {
+  IdaaSystem system;
+  SeedAccelerated(system);
+  FastRetries(system, /*max_attempts=*/2);
+  ASSERT_TRUE(
+      system.Execute("CREATE TABLE stage (id INT, v INT) IN ACCELERATOR")
+          .ok());
+  FaultSpec spec;
+  spec.probability = 1.0;
+  system.fault_injector().Arm(fault_site::kChannelStatement, spec);
+  ExecOptions failback;
+  failback.acceleration = AccelerationMode::kEnableWithFailback;
+  auto inserted = system.Execute(
+      "INSERT INTO stage SELECT id, SUM(v) FROM t GROUP BY id", failback);
+  system.fault_injector().Disarm(fault_site::kChannelStatement);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_TRUE(inserted->failed_back);
+  EXPECT_GE(inserted->retries, 1u);
+  EXPECT_EQ(inserted->rows_affected, 40u);
+  auto count = system.Execute("SELECT COUNT(*) FROM stage");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows.At(0, 0).AsInteger(), 40);
+}
+
+TEST_F(FaultToleranceTest, AotInsertSelectAppendFaultDoesNotFailBack) {
+  // The SELECT over a broadcast table runs on shard 0; only the append
+  // reaches shard 3. A failed append cannot fail back: re-running the
+  // SELECT on DB2 would only append to the same AOT again.
+  SystemOptions options;
+  options.accelerator_shards = 4;
+  IdaaSystem system(options);
+  FastRetries(system, /*max_attempts=*/2);
+  ASSERT_TRUE(system.Execute("CREATE TABLE d (id INT)").ok());
+  std::string values;
+  for (int i = 0; i < 100; ++i) {
+    values += StrFormat("%s(%d)", values.empty() ? "" : ", ", i);
+  }
+  ASSERT_TRUE(system.Execute("INSERT INTO d VALUES " + values).ok());
+  ASSERT_TRUE(system.Execute("CALL SYSPROC.ACCEL_ADD_TABLES('d')").ok());
+  ASSERT_TRUE(system
+                  .Execute("CREATE TABLE t (id INT) IN ACCELERATOR "
+                           "DISTRIBUTE BY (id)")
+                  .ok());
+  FaultSpec spec;
+  spec.probability = 1.0;
+  system.fault_injector().Arm(FaultInjector::AcceleratorSite("ACCEL1#3"),
+                              spec);
+  ExecOptions failback;
+  failback.acceleration = AccelerationMode::kEnableWithFailback;
+  const uint64_t failbacks = system.metrics().Get(metric::kFederationFailbacks);
+  const uint64_t routed = system.metrics().Get(metric::kQueriesRoutedToAccel);
+  auto inserted =
+      system.Execute("INSERT INTO t SELECT DISTINCT id FROM d", failback);
+  system.fault_injector().Disarm(FaultInjector::AcceleratorSite("ACCEL1#3"));
+  EXPECT_GT(system.metrics().Get(metric::kQueriesRoutedToAccel), routed);
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_TRUE(inserted.status().retryable());
+  EXPECT_NE(inserted.status().message().find("cannot fail back"),
+            std::string::npos);
+  EXPECT_EQ(system.metrics().Get(metric::kFederationFailbacks), failbacks);
+  auto count = system.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows.At(0, 0).AsInteger(), 0);
+}
+
 TEST_F(FaultToleranceTest, OfflineOnlineCycleConvergesReplication) {
   SystemOptions options;
   options.replication_batch_size = 4;  // auto-apply attempts during outage
